@@ -79,16 +79,26 @@ class RunConfig:
             )
         if self.xi_steps < 1:
             raise ValidationError("xi_steps must be at least 1")
-
-    def make_params(self, n_modes: Optional[int] = None) -> SystemParams:
-        kwargs = dict(n_modes=n_modes if n_modes is not None else self.n_modes)
+        if not self.tol > 0.0:
+            raise ValidationError("tol must be positive")
+        if self.series_terms < 1:
+            raise ValidationError("series_terms must be at least 1")
+        if not self.n_sweep:
+            raise ValidationError("n_sweep must list at least one mode count")
+        if min(self.n_sweep) < 1:
+            raise ValidationError("every n_sweep entry must be at least 1")
         if self.radius is not None and self.delta is not None:
             raise ConfigurationError("supply only one of radius and delta")
-        if self.radius is not None:
-            kwargs["radius"] = self.radius
-        else:
-            kwargs["delta"] = self.delta
-        return make_params(self.omega_bar, self.g, self.c, **kwargs)
+
+    def make_params(self, n_modes: Optional[int] = None) -> SystemParams:
+        return make_params(
+            self.omega_bar,
+            self.g,
+            self.c,
+            radius=self.radius,
+            delta=self.delta,
+            n_modes=n_modes if n_modes is not None else self.n_modes,
+        )
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
@@ -140,20 +150,21 @@ def load_config_file(path: str) -> dict:
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file's keys, then the flags given."""
+    config_file = getattr(args, "config", None)
+    file_values = load_config_file(config_file) if config_file else {}
+    flag_values = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
     config = RunConfig()
-    if getattr(args, "config", None):
-        config = replace(config, **load_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    # an explicit radius (file or flag) displaces the default delta
-    if overrides.get("radius") is not None and "delta" not in overrides:
-        overrides["delta"] = None
-    if config.radius is not None and config.delta == RunConfig.delta:
-        config = replace(config, delta=None)
-    config = replace(config, **overrides)
+    for values in (file_values, flag_values):
+        # a radius set by this layer displaces a delta from the layers below;
+        # one that sets both is rejected by validate()
+        if values.get("radius") is not None and "delta" not in values:
+            values = {**values, "delta": None}
+        config = replace(config, **values)
     config.validate()
     return config
 
@@ -339,6 +350,17 @@ def cmd_figure2(config: RunConfig) -> int:
     return 0
 
 
+def _raw_unitarity_defect(params, spec, norms, times) -> float:
+    """max_t |1 - sum_nu |f_0_nu(t)|^2| with the rescaled, unrepaired matrix."""
+    rescaled = modes.assemble_raw_matrix(params, spec)
+    rescaled /= norms
+    worst = 0.0
+    for t in times:
+        row = rescaled @ (rescaled[0] * np.exp(-1j * spec.omegas * t))
+        worst = max(worst, abs(1.0 - float(np.sum(np.abs(row) ** 2))))
+    return worst
+
+
 def cmd_convergence(config: RunConfig) -> int:
     check_times = (0.0, 1.0, 10.0)
     lines = [
@@ -349,23 +371,17 @@ def cmd_convergence(config: RunConfig) -> int:
         "N, raw_col0_norm_defect, raw_orthogonality_defect, raw_unitarity_defect,"
         " unitarity_defect, entropy_std",
     ]
+    xi = config.xi
     raw_cols, raw_orth, raw_unit, post_unit = [], [], [], []
     for n in config.n_sweep:
         params = config.make_params(n_modes=n)
         spec = spectrum_mod.solve_spectrum(params)
-        raw = modes.assemble_raw_matrix(params, spec)
-        norms = np.linalg.norm(raw, axis=0)
-        col_defect = float(np.abs(1.0 - norms**2).max())
-        rescaled = raw / norms
-        gram = rescaled.T @ rescaled
-        orth_defect = float(np.abs(gram - np.diag(np.diag(gram))).max())
-        raw_defect = 0.0
-        for t in check_times:
-            row = rescaled @ (rescaled[0] * np.exp(-1j * spec.omegas * t))
-            raw_defect = max(raw_defect, abs(1.0 - float(np.sum(np.abs(row) ** 2))))
         matrix = modes.build_matrix(params, spec)
+        norms = matrix.raw_column_norms
+        col_defect = float(np.abs(1.0 - norms**2).max())
+        orth_defect = matrix.raw_orthogonality_defect
+        raw_defect = _raw_unitarity_defect(params, spec, norms, check_times)
         post_defect = evolution.unitarity_defect(matrix, spec, 0, check_times)
-        xi = 0.3
         entropies = []
         for t in check_times:
             row = evolution.amplitude_row(matrix, spec, 0, t)

@@ -5,7 +5,7 @@ import pytest
 
 import dressedcavity as dc
 from dressedcavity import cli
-from dressedcavity.errors import ConfigurationError
+from dressedcavity.errors import ConfigurationError, ValidationError
 from dressedcavity.output import write_csv
 
 ENTROPY_XI_01 = 0.32508297339144824
@@ -269,3 +269,56 @@ def test_bad_mode_precondition_exit_code(tmp_path):
         ]
     )
     assert rc == 3
+
+
+def test_convergence_entropy_uses_config_xi(tmp_path, monkeypatch):
+    weights = []
+    original = cli.bipartite.von_neumann_entropy
+
+    def spy(probabilities):
+        weights.append(list(probabilities))
+        return original(probabilities)
+
+    monkeypatch.setattr(cli.bipartite, "von_neumann_entropy", spy)
+    rc = cli.main(
+        ["convergence", "--n-sweep", "20", "--xi", "0.2", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert len(weights) == 3  # one per check time
+    for ground, excited in weights:
+        assert ground == pytest.approx(0.8, abs=1e-15)
+        assert excited == pytest.approx(0.2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", 0.0),
+        ("tol", -1e-8),
+        ("series_terms", 0),
+        ("n_sweep", ()),
+        ("n_sweep", (100, 0, 300)),
+    ],
+)
+def test_validate_rejects_bad_numeric_settings(field, value):
+    config = cli.RunConfig(**{field: value})
+    with pytest.raises(ValidationError, match=field):
+        config.validate()
+
+
+def test_config_file_with_radius_and_delta_rejected(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("radius = 5\ndelta = 0.1\n")
+    args = cli.build_parser().parse_args(["spectrum", "--config", str(cfg_file)])
+    with pytest.raises(ConfigurationError):
+        cli.merge_config(args)
+    assert cli.main(["spectrum", "--config", str(cfg_file)]) == 3
+
+
+def test_config_file_radius_displaces_default_delta(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("radius = 5\n")
+    args = cli.build_parser().parse_args(["spectrum", "--config", str(cfg_file)])
+    config = cli.merge_config(args)
+    assert config.delta is None
+    assert config.make_params().radius == 5.0

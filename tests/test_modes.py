@@ -8,6 +8,7 @@ from dressedcavity.errors import (
     ApproximationDomainError,
     ConsistencyError,
     NearResonanceError,
+    NumericDomainError,
 )
 
 # arbitrary-precision evaluations at omega_bar=1, g=0.5, delta=0.1
@@ -113,6 +114,56 @@ def test_prerescale_column0_norm_converges():
         norms.append(atom**2 + float(np.sum(field_sq)))
     assert norms[0] < norms[1] < norms[2] < 1.0
     assert 1.0 - norms[2] < 1e-4
+
+
+def reference_loewdin(params, spectrum):
+    """Loewdin factor by eigendecomposition: T <- T V diag(1/sqrt(w)) V^T.
+
+    Returns (entries, orthogonalization shift) with the positive atom row
+    that build_matrix enforces.
+    """
+    raw = dc.assemble_raw_matrix(params, spectrum)
+    rescaled = raw / np.linalg.norm(raw, axis=0)
+    w, v = np.linalg.eigh(rescaled.T @ rescaled)
+    assert w[0] > 0.0
+    entries = rescaled @ (v * (1.0 / np.sqrt(w))) @ v.T
+    shift = float(np.abs(entries - rescaled).max())
+    entries[:, entries[0] < 0.0] *= -1.0
+    return entries, shift
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 3.0, 1000.0])
+@pytest.mark.parametrize("g", [0.05, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [1, 5, 30, 300, 1000])
+def test_build_matrix_matches_eigh_loewdin(n, g, delta):
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    m = dc.build_matrix(p, spec)
+    ref_entries, ref_shift = reference_loewdin(p, spec)
+    assert np.abs(m.entries - ref_entries).max() <= 1e-12
+    assert abs(m.orthogonalization_shift - ref_shift) <= 1e-12
+    gram = m.entries.T @ m.entries
+    assert np.abs(gram - np.eye(n + 1)).max() <= 1e-13
+    assert np.all(m.entries[0] > 0.0)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80])
+def test_build_matrix_rejects_linearly_dependent_columns(n):
+    # two equal roots give two identical columns: no orthonormal repair
+    # exists, and the Gram matrix's zero eigenvalue may round either way
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    omegas = np.array(spec.omegas)
+    omegas[1] = omegas[0]
+    degenerate = dc.Spectrum(
+        omegas=omegas,
+        residuals=spec.residuals,
+        method=spec.method,
+        n_modes=spec.n_modes,
+        delta_omega=spec.delta_omega,
+    )
+    with pytest.raises(NumericDomainError):
+        dc.build_matrix(p, degenerate)
 
 
 def test_build_matrix_rejects_approx_spectrum(small_params):
