@@ -147,6 +147,30 @@ def test_build_matrix_matches_eigh_loewdin(n, g, delta):
     assert np.all(m.entries[0] > 0.0)
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0])
+def test_build_matrix_loewdin_steps_do_not_depend_on_delta(delta, monkeypatch):
+    # ||X^T X - I||_F runs from 2e-7 to 3e-3 over these spacings at N=400;
+    # every one takes the same two steps, so the cost depends on N alone.
+    # Each step takes one Frobenius norm of the (N+1)^2 defect.
+    n = 400
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    norm = np.linalg.norm
+    steps = []
+
+    def counting_norm(a, *args, **kwargs):
+        if a.shape == (n + 1, n + 1) and not args and not kwargs:
+            steps.append(float(norm(a)))
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    m = dc.build_matrix(p, spec)
+    monkeypatch.undo()
+    assert len(steps) == 2 and steps[0] <= 3e-3
+    gram = m.entries.T @ m.entries
+    assert np.abs(gram - np.eye(n + 1)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n", [10, 20, 40, 80])
 def test_build_matrix_rejects_linearly_dependent_columns(n):
     # two equal roots give two identical columns: no orthonormal repair
