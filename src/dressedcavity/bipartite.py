@@ -135,13 +135,27 @@ def two_atom_reduced_density(
 def impurity(f_aa: complex, f_bb: complex, config: EntangledStateConfig) -> float:
     """Impurity D = 1 - Tr[rho^2] = 2p(1 - p) of the two-atom state.
 
-    p = xi |f_AA|^2 + (1-xi) |f_BB|^2.  For identical atoms (f_AA = f_BB)
-    the xi dependence cancels and D = 2|f_00|^2 (1 - |f_00|^2).
+    p = xi |f_AA|^2 + (1-xi) |f_BB|^2, evaluated as
+    |f_BB|^2 + xi (|f_AA|^2 - |f_BB|^2) so that for identical atoms
+    (f_AA = f_BB) the xi dependence cancels exactly and
+    D = population_impurity(|f_00|^2).
     """
     f_aa = _check_amplitude("f_AA", f_aa)
     f_bb = _check_amplitude("f_BB", f_bb)
-    p = config.xi * abs(f_aa) ** 2 + (1.0 - config.xi) * abs(f_bb) ** 2
-    return float(2.0 * p - 2.0 * p * p)
+    p_bb = abs(f_bb) ** 2
+    p = p_bb + config.xi * (abs(f_aa) ** 2 - p_bb)
+    return float(population_impurity(p))
+
+
+def population_impurity(p):
+    """Impurity 2p(1 - p) of the two-atom state with excited population p.
+
+    ``p`` is a scalar or an array.  Roundoff can lift a computed |f_00|^2 a
+    few ulp above 1; p is clamped at 1 first, so the result stays in
+    [0, 1/2] instead of dipping below zero.
+    """
+    p = np.minimum(p, 1.0)
+    return 2.0 * p * (1.0 - p)
 
 
 def single_atom_reduced_density(
@@ -181,6 +195,17 @@ def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
     alpha = np.clip(alpha, 0.0, 1.0)
     alpha = alpha[alpha > _EIGENVALUE_FLOOR]
     return float(-np.sum(alpha * np.log(alpha)))
+
+
+def rank_two_entropy(xi: float, row_norms: np.ndarray) -> np.ndarray:
+    """Entropy of the single-atom reduced matrix at each time point.
+
+    ``row_norms`` holds s(t) = sum_nu |f_A_nu(t)|^2 on a time grid; the
+    reduced matrix has the two nonzero eigenvalues {1 - xi, xi * s(t)}, so
+    no dense eigensolver is needed.  Unitarity (s = 1) gives
+    ``analytic_entropy``.
+    """
+    return np.array([von_neumann_entropy([1.0 - xi, xi * s]) for s in row_norms])
 
 
 def analytic_entropy(xi: float) -> float:

@@ -9,9 +9,14 @@ figure2      entanglement entropy as a function of the weight xi
 convergence  truncation-defect report across a sweep of mode counts
 selftest     run the invariant suite at baseline parameters
 
+The commands compute through the library: f_00 by
+``evolution.atom_amplitude``, sum_nu |f_0_nu|^2 by ``evolution.row_norms``,
+impurity by ``bipartite.population_impurity`` and entropy by
+``bipartite.rank_two_entropy``.
+
 Configuration is a flat key=value file plus per-key command-line
-overrides; flag names mirror the keys.  Exit codes: 0 success,
-1 invariant failure, 2 I/O failure, 3 violated precondition.
+overrides; flag names mirror the keys and parse alike.  Exit codes:
+0 success, 1 invariant failure, 2 I/O failure, 3 violated precondition.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ class RunConfig:
     radius: Optional[float] = None
     n_modes: int = 1000
     xi: float = 0.5
-    phi: float = 0.0
     mode: str = "small_cavity_exact"
     t_min: float = 0.0
     t_max: float = 100.0
@@ -213,55 +217,12 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def _row_survival_sums(matrix, spec, times, chunk=256):
-    """sum_nu |f_0_nu(t)|^2 for every t, evaluated without rank shortcuts."""
-    t_mat = matrix.entries
-    weights = t_mat[0]
-    sums = np.empty(times.size)
-    for start in range(0, times.size, chunk):
-        ts = times[start : start + chunk]
-        x = weights[:, None] * np.exp(-1j * np.outer(spec.omegas, ts))
-        yr = t_mat @ x.real
-        yi = t_mat @ x.imag
-        sums[start : start + chunk] = (yr**2 + yi**2).sum(axis=0)
-    return sums
-
-
 def cmd_evolve(config: RunConfig) -> int:
     params = config.make_params()
     times = config.time_grid()
-    xi = config.xi
-    entropy_flat = bipartite.analytic_entropy(xi)
+    entropies = np.full(times.size, bipartite.analytic_entropy(config.xi))
 
-    if config.mode == "small_cavity_exact":
-        spec = spectrum_mod.solve_spectrum(params)
-        matrix = modes.build_matrix(params, spec)
-        weights = matrix.entries[0] ** 2
-        f00 = np.exp(-1j * np.outer(times, spec.omegas)) @ weights
-        abs2 = np.abs(f00) ** 2
-        sums = _row_survival_sums(matrix, spec, times)
-        entropies = np.array(
-            [bipartite.von_neumann_entropy([1.0 - xi, xi * s]) for s in sums]
-        )
-        re, im = f00.real, f00.imag
-    elif config.mode == "small_cavity_series":
-        f00 = evolution.small_cavity_amplitude_first_order(
-            params, times, config.series_terms
-        )
-        abs2 = np.abs(f00) ** 2
-        re, im = f00.real, f00.imag
-        entropies = np.full(times.size, entropy_flat)
-    elif config.mode in ("free_space_numeric", "free_space_closed"):
-        fn = (
-            freespace.freespace_f00_numeric
-            if config.mode == "free_space_numeric"
-            else freespace.freespace_f00_closed
-        )
-        f00 = np.array([fn(params, float(t), tol=config.tol) for t in times])
-        abs2 = np.abs(f00) ** 2
-        re, im = f00.real, f00.imag
-        entropies = np.full(times.size, entropy_flat)
-    else:  # free_space_asymptotic
+    if config.mode == "free_space_asymptotic":
         if config.t_min <= 0.0:
             raise ValidationError(
                 "free_space_asymptotic needs t_min > 0 (diverges at t = 0)"
@@ -269,18 +230,33 @@ def cmd_evolve(config: RunConfig) -> int:
         abs2 = np.array(
             [freespace.freespace_survival_asymptotic(params, float(t)) for t in times]
         )
-        re = np.full(times.size, np.nan)
-        im = np.full(times.size, np.nan)
-        entropies = np.full(times.size, entropy_flat)
+        f00 = np.full(times.size, complex(np.nan, np.nan))  # no phase
+    else:
+        if config.mode == "small_cavity_exact":
+            spec = spectrum_mod.solve_spectrum(params)
+            matrix = modes.build_matrix(params, spec)
+            f00 = evolution.atom_amplitude(matrix, spec, times)
+            sums = evolution.row_norms(matrix.entries, spec.omegas, 0, times)
+            entropies = bipartite.rank_two_entropy(config.xi, sums)
+        elif config.mode == "small_cavity_series":
+            f00 = evolution.small_cavity_amplitude_first_order(
+                params, times, config.series_terms
+            )
+        else:
+            fn = (
+                freespace.freespace_f00_numeric
+                if config.mode == "free_space_numeric"
+                else freespace.freespace_f00_closed
+            )
+            f00 = np.array([fn(params, float(t), tol=config.tol) for t in times])
+        abs2 = np.abs(f00) ** 2
 
-    # identical atoms; clamp the few-ulp roundoff excess above 1 so the
-    # emitted impurity respects its [0, 1/2] range
-    clipped = np.minimum(abs2, 1.0)
-    impurities = 2.0 * clipped * (1.0 - clipped)
+    # identical atoms: the two-atom population is |f_00|^2
+    impurities = bipartite.population_impurity(abs2)
     write_csv(
         _out_path(config, "evolve.csv"),
         ("t", "f00_re", "f00_im", "f00_abs2", "impurity", "entropy"),
-        zip(times, re, im, abs2, impurities, entropies),
+        zip(times, f00.real, f00.imag, abs2, impurities, entropies),
     )
     return 0
 
@@ -291,17 +267,16 @@ def cmd_figure1(config: RunConfig) -> int:
 
     spec = spectrum_mod.solve_spectrum(params)
     matrix = modes.build_matrix(params, spec)
-    small = np.minimum(evolution.survival_probability(matrix, spec, times), 1.0)
-    d_small = 2.0 * small * (1.0 - small)
-
+    d_small = bipartite.population_impurity(
+        evolution.survival_probability(matrix, spec, times)
+    )
     free = np.array(
         [
             abs(freespace.freespace_f00_closed(params, float(t), tol=config.tol)) ** 2
             for t in times
         ]
     )
-    free = np.minimum(free, 1.0)
-    d_free = 2.0 * free * (1.0 - free)
+    d_free = bipartite.population_impurity(free)
 
     write_csv(
         _out_path(config, "figure1.csv"),
@@ -354,11 +329,8 @@ def _raw_unitarity_defect(params, spec, norms, times) -> float:
     """max_t |1 - sum_nu |f_0_nu(t)|^2| with the rescaled, unrepaired matrix."""
     rescaled = modes.assemble_raw_matrix(params, spec)
     rescaled /= norms
-    worst = 0.0
-    for t in times:
-        row = rescaled @ (rescaled[0] * np.exp(-1j * spec.omegas * t))
-        worst = max(worst, abs(1.0 - float(np.sum(np.abs(row) ** 2))))
-    return worst
+    sums = evolution.row_norms(rescaled, spec.omegas, 0, times)
+    return float(np.abs(1.0 - sums).max())
 
 
 def cmd_convergence(config: RunConfig) -> int:
@@ -382,12 +354,8 @@ def cmd_convergence(config: RunConfig) -> int:
         orth_defect = matrix.raw_orthogonality_defect
         raw_defect = _raw_unitarity_defect(params, spec, norms, check_times)
         post_defect = evolution.unitarity_defect(matrix, spec, 0, check_times)
-        entropies = []
-        for t in check_times:
-            row = evolution.amplitude_row(matrix, spec, 0, t)
-            s = float(np.sum(np.abs(row) ** 2))
-            entropies.append(bipartite.von_neumann_entropy([1.0 - xi, xi * s]))
-        ent_std = float(np.std(entropies))
+        sums = evolution.row_norms(matrix.entries, spec.omegas, 0, check_times)
+        ent_std = float(np.std(bipartite.rank_two_entropy(xi, sums)))
         raw_cols.append(col_defect)
         raw_orth.append(orth_defect)
         raw_unit.append(raw_defect)
@@ -471,15 +439,12 @@ def selftest_checks(
             f"max residual {float(spec.residuals.max()):.2e}",
         ),
     )
-    check(
-        "spectrum_interlacing",
-        lambda: (
-            spectrum_mod.check_interlacing(params, spec),
-            "each root inside its branch"
-            if spectrum_mod.check_interlacing(params, spec)
-            else "root escaped its branch",
-        ),
-    )
+
+    def interlacing():
+        ok = spectrum_mod.check_interlacing(params, spec)
+        return ok, "each root inside its branch" if ok else "root escaped its branch"
+
+    check("spectrum_interlacing", interlacing)
 
     def low_root_mismatch():
         raw = np.abs(
@@ -644,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float)
         p.add_argument("--n-modes", dest="n_modes", type=int)
         p.add_argument("--xi", type=float)
-        p.add_argument("--phi", type=float)
         p.add_argument("--mode", choices=MODES)
         p.add_argument("--t-min", dest="t_min", type=float)
         p.add_argument("--t-max", dest="t_max", type=float)
@@ -655,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--n-sweep",
             dest="n_sweep",
-            type=lambda s: tuple(int(x) for x in s.split(",")),
+            type=lambda raw: _parse_value("n_sweep", raw),
         )
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument(

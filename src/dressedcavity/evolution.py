@@ -16,7 +16,7 @@ Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .errors import ApproximationDomainError, ConsistencyError
 from .modes import ModeMatrix
 from .params import SystemParams
 from .spectrum import Spectrum
+
+_ROW_NORM_CHUNK = 256  # times per pair of matrix products in row_norms
 
 
 def _check_pair(matrix: ModeMatrix, spectrum: Spectrum) -> None:
@@ -57,50 +59,47 @@ def amplitude_row(
     return matrix.entries @ phased
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Amplitudes at one instant, keyed by (mu, nu), plus the survival term."""
-
-    t: float
-    f: Dict[Tuple[int, int], complex]
-    survival: Optional[float]  # |f_00(t)|^2 when the atom row was computed
-
-
-def amplitude_set(
-    matrix: ModeMatrix,
-    spectrum: Spectrum,
-    t: float,
-    rows: Tuple[int, ...] = (0,),
-) -> AmplitudeSet:
-    """Amplitudes for every nu of the requested rows at time t."""
-    f: Dict[Tuple[int, int], complex] = {}
-    for mu in rows:
-        row = amplitude_row(matrix, spectrum, mu, t)
-        for nu, value in enumerate(row):
-            f[(mu, nu)] = complex(value)
-    survival = abs(f[(0, 0)]) ** 2 if (0, 0) in f else None
-    return AmplitudeSet(t=float(t), f=f, survival=survival)
-
-
-def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):
-    """|f_00(t)|^2 for a scalar or grid of times (vectorized mode sum)."""
+def atom_amplitude(matrix: ModeMatrix, spectrum: Spectrum, t) -> np.ndarray:
+    """Complex f_00(t) on a scalar or grid of times (vectorized mode sum)."""
     _check_pair(matrix, spectrum)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     weights = matrix.entries[0] ** 2
-    f00 = np.exp(-1j * np.outer(t, spectrum.omegas)) @ weights
-    out = np.abs(f00) ** 2
+    return np.exp(-1j * np.outer(t, spectrum.omegas)) @ weights
+
+
+def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):
+    """|f_00(t)|^2 for a scalar or grid of times."""
+    out = np.abs(atom_amplitude(matrix, spectrum, t)) ** 2
     return out if out.size > 1 else float(out[0])
+
+
+def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.ndarray:
+    """sum_nu |f_mu_nu(t)|^2 for every t, evaluated without rank shortcuts.
+
+    ``entries`` is any (N+1)^2 mode matrix whose columns pair with
+    ``omegas``, so the unrepaired matrix passes through the same sum.  The
+    grid is taken in chunks of ``_ROW_NORM_CHUNK`` times, two real matrix
+    products per chunk.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    weights = entries[mu]
+    sums = np.empty(times.size)
+    for start in range(0, times.size, _ROW_NORM_CHUNK):
+        ts = times[start : start + _ROW_NORM_CHUNK]
+        x = weights[:, None] * np.exp(-1j * np.outer(omegas, ts))
+        yr = entries @ x.real
+        yi = entries @ x.imag
+        sums[start : start + _ROW_NORM_CHUNK] = (yr**2 + yi**2).sum(axis=0)
+    return sums
 
 
 def unitarity_defect(
     matrix: ModeMatrix, spectrum: Spectrum, mu: int, times
 ) -> float:
     """max over the given times of |1 - sum_nu |f_mu_nu(t)|^2|."""
-    worst = 0.0
-    for t in np.atleast_1d(times):
-        row = amplitude_row(matrix, spectrum, mu, float(t))
-        worst = max(worst, abs(1.0 - float(np.sum(np.abs(row) ** 2))))
-    return worst
+    _check_pair(matrix, spectrum)
+    sums = row_norms(matrix.entries, spectrum.omegas, mu, times)
+    return float(np.abs(1.0 - sums).max())
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,16 @@ def test_impurity_identical_atoms_independent_of_xi():
     assert max(values) - min(values) < 1e-14
     v = abs(f) ** 2
     assert values[0] == pytest.approx(2 * v * (1 - v), rel=1e-12)
+    # the CLI's impurity column is population_impurity(|f_00|^2): bitwise equal
+    assert values == [dc.population_impurity(v)] * len(values)
+
+
+def test_population_impurity_clamp_and_arrays():
+    # roundoff above 1 is clamped instead of giving a negative impurity
+    assert dc.population_impurity(1.0 + 2.0**-50) == 0.0
+    ps = np.array([0.0, 0.1, 0.5, 0.9, 1.0, 1.0 + 2.0**-50])
+    expected = [dc.population_impurity(float(p)) for p in ps]
+    assert np.array_equal(dc.population_impurity(ps), expected)
 
 
 def test_amplitude_magnitude_guard():

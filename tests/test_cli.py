@@ -50,6 +50,28 @@ def test_config_file_unknown_key(tmp_path):
     assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
 
 
+def test_n_sweep_flag_and_file_parse_alike(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_sweep = 100,300,\n")
+    parser = cli.build_parser()
+    from_file = cli.merge_config(
+        parser.parse_args(["convergence", "--config", str(cfg_file)])
+    )
+    from_flag = cli.merge_config(
+        parser.parse_args(["convergence", "--n-sweep", "100,300,"])
+    )
+    assert from_file.n_sweep == from_flag.n_sweep == (100, 300)
+
+
+def test_phi_is_not_a_setting(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--phi", "0.3"])
+    assert exc.value.code == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("phi = 0.3\n")
+    assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
+
+
 def test_radius_flag_displaces_default_delta(tmp_path):
     args = cli.build_parser().parse_args(
         ["spectrum", "--radius", "0.62831853071795865", "--out", str(tmp_path)]

@@ -57,13 +57,25 @@ def test_survival_matches_amplitude(small_matrix, small_spectrum):
     scalar = dc.survival_probability(small_matrix, small_spectrum, t)
     f00 = dc.amplitude(small_matrix, small_spectrum, 0, 0, t)
     assert scalar == pytest.approx(abs(f00) ** 2, abs=1e-14)
+    (grid_f00,) = dc.atom_amplitude(small_matrix, small_spectrum, t)
+    assert grid_f00 == pytest.approx(f00, abs=1e-14)
 
 
-def test_amplitude_set(small_matrix, small_spectrum):
-    aset = dc.amplitude_set(small_matrix, small_spectrum, 2.0)
-    assert aset.t == 2.0
-    assert aset.survival == pytest.approx(abs(aset.f[(0, 0)]) ** 2, abs=1e-15)
-    assert len(aset.f) == small_spectrum.n_modes + 1
+@pytest.mark.parametrize("n_modes", [1, 30, 1000])
+def test_row_norms_match_amplitude_rows(n_modes):
+    params = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n_modes)
+    spec = dc.solve_spectrum(params)
+    matrix = dc.build_matrix(params, spec)
+    for mu in (0, 1, n_modes):
+        for size in (1, 3, 256, 257):  # 257 times cross a chunk boundary
+            times = np.linspace(0.0, 50.0, size)
+            sums = dc.row_norms(matrix.entries, spec.omegas, mu, times)
+            direct = [
+                np.sum(np.abs(dc.amplitude_row(matrix, spec, mu, t)) ** 2)
+                for t in times
+            ]
+            assert sums.shape == (size,)
+            assert np.abs(sums - direct).max() <= 1e-14
 
 
 def test_dimension_mismatch_raises(small_matrix, baseline_spectrum):
