@@ -227,9 +227,7 @@ def cmd_evolve(config: RunConfig) -> int:
             raise ValidationError(
                 "free_space_asymptotic needs t_min > 0 (diverges at t = 0)"
             )
-        abs2 = np.array(
-            [freespace.freespace_survival_asymptotic(params, float(t)) for t in times]
-        )
+        abs2 = freespace.freespace_survival_asymptotic(params, times)
         f00 = np.full(times.size, complex(np.nan, np.nan))  # no phase
     else:
         if config.mode == "small_cavity_exact":
@@ -242,13 +240,11 @@ def cmd_evolve(config: RunConfig) -> int:
             f00 = evolution.small_cavity_amplitude_first_order(
                 params, times, config.series_terms
             )
+        elif config.mode == "free_space_closed":
+            f00 = freespace.freespace_f00_closed(params, times, tol=config.tol)
         else:
-            fn = (
-                freespace.freespace_f00_numeric
-                if config.mode == "free_space_numeric"
-                else freespace.freespace_f00_closed
-            )
-            f00 = np.array([fn(params, float(t), tol=config.tol) for t in times])
+            numeric = freespace.freespace_f00_numeric
+            f00 = np.array([numeric(params, float(t), tol=config.tol) for t in times])
         abs2 = np.abs(f00) ** 2
 
     # identical atoms: the two-atom population is |f_00|^2
@@ -270,13 +266,8 @@ def cmd_figure1(config: RunConfig) -> int:
     d_small = bipartite.population_impurity(
         evolution.survival_probability(matrix, spec, times)
     )
-    free = np.array(
-        [
-            abs(freespace.freespace_f00_closed(params, float(t), tol=config.tol)) ** 2
-            for t in times
-        ]
-    )
-    d_free = bipartite.population_impurity(free)
+    free = freespace.freespace_f00_closed(params, times, tol=config.tol)
+    d_free = bipartite.population_impurity(np.abs(free) ** 2)
 
     write_csv(
         _out_path(config, "figure1.csv"),

@@ -68,9 +68,9 @@ def atom_amplitude(matrix: ModeMatrix, spectrum: Spectrum, t) -> np.ndarray:
 
 
 def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):
-    """|f_00(t)|^2 for a scalar or grid of times."""
+    """|f_00(t)|^2: a float for a scalar t, an array for any grid."""
     out = np.abs(atom_amplitude(matrix, spectrum, t)) ** 2
-    return out if out.size > 1 else float(out[0])
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.ndarray:

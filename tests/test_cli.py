@@ -149,6 +149,21 @@ def test_cmd_evolve_other_modes(tmp_path, mode):
     assert np.all(rows[:, 3] <= 1 + 1e-9)
 
 
+def test_cmd_evolve_free_space_closed_matches_scalar_calls(tmp_path):
+    rc = cli.main(
+        [
+            "evolve", "--mode", "free_space_closed", "--g", "0.7", "--t-max", "40",
+            "--t-steps", "81", "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "evolve.csv")
+    params = cli.RunConfig(g=0.7).make_params()
+    scalars = np.array([dc.freespace_f00_closed(params, t) for t in rows[:, 0]])
+    assert np.array_equal(rows[:, 1], scalars.real)
+    assert np.array_equal(rows[:, 2], scalars.imag)
+
+
 def test_cmd_evolve_asymptotic_needs_positive_start(tmp_path):
     rc = cli.main(
         [

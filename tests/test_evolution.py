@@ -61,6 +61,16 @@ def test_survival_matches_amplitude(small_matrix, small_spectrum):
     assert grid_f00 == pytest.approx(f00, abs=1e-14)
 
 
+def test_survival_probability_shape_follows_input(small_matrix, small_spectrum):
+    scalar = dc.survival_probability(small_matrix, small_spectrum, 1.0)
+    assert type(scalar) is float
+    one = dc.survival_probability(small_matrix, small_spectrum, np.array([1.0]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == scalar
+    two = dc.survival_probability(small_matrix, small_spectrum, [1.0, 2.0])
+    assert two.shape == (2,)
+
+
 @pytest.mark.parametrize("n_modes", [1, 30, 1000])
 def test_row_norms_match_amplitude_rows(n_modes):
     params = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n_modes)

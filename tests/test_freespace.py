@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -46,6 +49,31 @@ def oracle_f00(params, t):
         np.sin(kappa * t) + (g / kappa) * np.cos(kappa * t)
     ) + (4.0 * g / np.pi) * laplace
     return complex(re, im)
+
+
+def four_pole_f00(params, t):
+    """f_00(t) at 30 digits from the partial-fraction sum over the poles.
+
+    The denominator has the roots r = +-kappa +- ig; each contributes
+    A_r e^z E_1(z) with z = -i r t and A_r = r^2 / prod_{s != r} (r - s),
+    and the fourth-quadrant pole kappa - ig adds -2 pi i A_r e^z.
+    """
+    with mp.workdps(30):
+        w, g = mp.mpf(params.omega_bar), mp.mpf(params.g)
+        kappa = mp.sqrt(w * w - g * g)
+        poles = [kappa + 1j * g, -kappa + 1j * g, -kappa - 1j * g, kappa - 1j * g]
+        total = mp.mpc(0)
+        for r in poles:
+            a = r * r
+            for s in poles:
+                if s != r:
+                    a /= r - s
+            z = -1j * r * mp.mpf(t)
+            term = mp.exp(z) * mp.e1(z)
+            if r == poles[3]:
+                term -= 2j * mp.pi * mp.exp(z)
+            total += a * term
+        return complex(4 * g / mp.pi * total)
 
 
 def test_completeness_at_t0(weak):
@@ -112,6 +140,8 @@ def test_asymptotic_survival_values(weak):
 def test_asymptotic_survival_guards(weak, strong):
     with pytest.raises(ApproximationDomainError):
         dc.freespace_survival_asymptotic(weak, 0.0)
+    with pytest.raises(ApproximationDomainError):
+        dc.freespace_survival_asymptotic(weak, np.array([1.0, 0.0]))
     with pytest.raises(RegimeError):
         dc.freespace_survival_asymptotic(strong, 5.0)
 
@@ -119,6 +149,8 @@ def test_asymptotic_survival_guards(weak, strong):
 def test_closed_form_requires_weak_regime(strong):
     with pytest.raises(RegimeError):
         dc.freespace_f00_closed(strong, 1.0)
+    with pytest.raises(RegimeError):
+        dc.freespace_f00_closed(strong, np.array([1.0, 2.0]))
 
 
 def test_numeric_handles_strong_coupling(strong):
@@ -146,9 +178,80 @@ def test_negative_time_rejected(weak):
         dc.freespace_f00_numeric(weak, -1.0)
     with pytest.raises(ApproximationDomainError):
         dc.g_integral(weak, -0.5)
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(ApproximationDomainError):
+            dc.freespace_f00_closed(weak, np.array([0.0, 1.0, bad, 2.0]))
 
 
 def test_survival_from_closed_decays(weak):
     # dissipation: the free-space survival at t=100 is far below 1e-3
     f100 = dc.freespace_f00_closed(weak, 100.0)
     assert abs(f100) ** 2 < 1e-9
+
+
+@pytest.mark.parametrize(
+    "g", [0.01, 0.5, 0.95, 1.0 - 1e-6, float(np.nextafter(1.0, 0.0))]
+)
+def test_closed_form_matches_four_pole_sum(g):
+    """Closed form against an independent 30-digit evaluation up to g t = 1800.
+
+    The pole weights grow like 1/kappa as g approaches omega_bar
+    (g/kappa = 6.7e7 at the last g), so this also checks that the
+    evaluation does not amplify roundoff by that factor.
+    """
+    p = dc.make_params(1.0, g, delta=0.1)
+    # plus both sides of |z| = 2 and |z| = 60, where the evaluation switches
+    times = np.concatenate(
+        [np.geomspace(1e-3, 1800.0 / g, 40), [1.9, 2.1, 59.9, 60.1]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = dc.freespace_f00_closed(p, times)
+    reference = np.array([four_pole_f00(p, t) for t in times])
+    assert np.max(np.abs(closed - reference)) <= 1e-13
+
+
+def test_closed_grid_equals_scalar_calls():
+    for g in (0.3, 0.999):
+        p = dc.make_params(1.0, g, delta=0.1)
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 3000.0, 97)])
+        grid = dc.freespace_f00_closed(p, times)
+        scalars = np.array([dc.freespace_f00_closed(p, float(t)) for t in times])
+        assert grid.dtype == complex and grid.shape == times.shape
+        assert np.array_equal(grid.view(float), scalars.view(float))
+        f0 = dc.freespace_f00_closed(p, 0.0)
+        assert type(f0) is complex and f0 == 1 + 0j
+        assert dc.freespace_f00_closed(p, np.array([1.0])).shape == (1,)
+
+
+def test_asymptotic_survival_on_grid(weak):
+    times = np.linspace(10.0, 50.0, 41)
+    grid = dc.freespace_survival_asymptotic(weak, times)
+    scalars = [dc.freespace_survival_asymptotic(weak, float(t)) for t in times]
+    assert np.array_equal(grid, scalars)
+    assert type(scalars[0]) is float
+    assert dc.freespace_survival_asymptotic(weak, np.array([5.0])).shape == (1,)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_quadrature_meets_its_tolerance(tol):
+    """The quadrature's absolute error stays within tol of the exact value."""
+    for g in (0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999):
+        p = dc.make_params(1.0, g, delta=0.1)
+        times = np.array([0.0, 0.01, 0.3, 1.0, 3.3, 10.0, 25.0, 40.0, 100.0])
+        exact = dc.freespace_f00_closed(p, times)
+        for t, reference in zip(times, exact):
+            numeric = dc.freespace_f00_numeric(p, float(t), tol=tol)
+            assert abs(numeric - reference) <= tol, (g, t)
+
+
+@pytest.mark.parametrize("g", [1.2, 2.0, 3.0])
+def test_numeric_strong_coupling_matches_weighted_quad(g):
+    w = 1.0
+    p = dc.make_params(w, g, delta=0.1)
+    f = lambda x: x * x / ((x * x - w * w) ** 2 + 4 * g * g * x * x)
+    pref = 4 * g / np.pi
+    re_ref = pref * quad(f, 0, np.inf, weight="cos", wvar=3.0, limit=2000)[0]
+    im_ref = -pref * quad(f, 0, np.inf, weight="sin", wvar=3.0, limit=2000)[0]
+    numeric = dc.freespace_f00_numeric(p, 3.0, tol=1e-10)
+    assert abs(numeric - complex(re_ref, im_ref)) <= 1e-9
