@@ -234,9 +234,12 @@ def entropy_time_independence_check(
 ) -> EntropyFlatnessReport:
     """Assemble rho_A(t) on a grid and compare its entropy to the constant.
 
-    Every reduced matrix is diagonalized by a dense Hermitian eigensolver
-    on the full truncated basis; nothing about the known rank-2 structure
-    is assumed.  Deviations are reported, never raised.
+    This is the dense verifier of ``rank_two_entropy``: every reduced
+    matrix is diagonalized by a dense Hermitian eigensolver on the full
+    truncated basis, an (N+2)^2 eigensolve per time point, and nothing
+    about the known rank-2 structure is assumed.  Production entropies
+    come from ``rank_two_entropy``; the CLI selftest runs this check at
+    N <= 100 only.  Deviations are reported, never raised.
     """
     if spectrum is None:
         spectrum = solve_spectrum(params)

@@ -10,6 +10,10 @@ over the normal modes s.  With the orthogonalized mode matrix the family
 f_mu_nu is exactly unitary at any truncation: f_mu_nu(0) = delta_mu_nu and
 sum_nu |f_mu_nu(t)|^2 = 1 for all t, to machine precision.
 
+Functions that take a time grid walk it in blocks of ``_TIME_CHUNK``
+times, so their temporaries hold at most ``_TIME_CHUNK`` phases per mode
+whatever the length of the grid.
+
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 """
 
@@ -25,7 +29,8 @@ from .modes import ModeMatrix
 from .params import SystemParams
 from .spectrum import Spectrum
 
-_ROW_NORM_CHUNK = 256  # times per pair of matrix products in row_norms
+# times per block of a grid: bounds the (times x modes) phase temporaries
+_TIME_CHUNK = 256
 
 
 def _check_pair(matrix: ModeMatrix, spectrum: Spectrum) -> None:
@@ -34,6 +39,23 @@ def _check_pair(matrix: ModeMatrix, spectrum: Spectrum) -> None:
             f"mode matrix has {matrix.entries.shape[1]} columns but spectrum "
             f"has {spectrum.omegas.size} roots"
         )
+
+
+def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """sum_s weights[s] * exp(-i * omegas[s] * t) for every t of the grid.
+
+    The grid is cut into nearly equal blocks of at most ``_TIME_CHUNK``
+    times, one phase matrix and one matrix-vector product each.  No block
+    holds a single time unless the grid does: numpy takes a one-row
+    product through a dot product, which rounds differently, whereas these
+    blocks give the unblocked ``np.exp(-1j * np.outer(times, omegas)) @
+    weights`` bitwise.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    blocks = np.array_split(times, max(1, -(-times.size // _TIME_CHUNK)))
+    return np.concatenate(
+        [np.exp(-1j * np.outer(ts, omegas)) @ weights for ts in blocks]
+    )
 
 
 def amplitude(
@@ -62,9 +84,7 @@ def amplitude_row(
 def atom_amplitude(matrix: ModeMatrix, spectrum: Spectrum, t) -> np.ndarray:
     """Complex f_00(t) on a scalar or grid of times (vectorized mode sum)."""
     _check_pair(matrix, spectrum)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    weights = matrix.entries[0] ** 2
-    return np.exp(-1j * np.outer(t, spectrum.omegas)) @ weights
+    return _phase_sum(spectrum.omegas, matrix.entries[0] ** 2, t)
 
 
 def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):
@@ -78,18 +98,18 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
 
     ``entries`` is any (N+1)^2 mode matrix whose columns pair with
     ``omegas``, so the unrepaired matrix passes through the same sum.  The
-    grid is taken in chunks of ``_ROW_NORM_CHUNK`` times, two real matrix
-    products per chunk.
+    grid is taken in blocks of ``_TIME_CHUNK`` times, two real matrix
+    products per block.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     weights = entries[mu]
     sums = np.empty(times.size)
-    for start in range(0, times.size, _ROW_NORM_CHUNK):
-        ts = times[start : start + _ROW_NORM_CHUNK]
+    for start in range(0, times.size, _TIME_CHUNK):
+        ts = times[start : start + _TIME_CHUNK]
         x = weights[:, None] * np.exp(-1j * np.outer(omegas, ts))
         yr = entries @ x.real
         yi = entries @ x.imag
-        sums[start : start + _ROW_NORM_CHUNK] = (yr**2 + yi**2).sum(axis=0)
+        sums[start : start + _TIME_CHUNK] = (yr**2 + yi**2).sum(axis=0)
     return sums
 
 
@@ -139,7 +159,7 @@ def small_cavity_amplitude_first_order(
     k = np.arange(1, k_terms + 1, dtype=float)
     omega_0 = params.omega_bar * (1.0 - np.pi * d / 3.0)
     omega_k = (params.g / d) * (k + 2.0 * d / (np.pi * k))
-    z = np.exp(-1j * np.outer(t, omega_k)) @ (1.0 / k**2)
+    z = _phase_sum(omega_k, 1.0 / k**2, t)
     return a * np.exp(-1j * t * omega_0) + a * (4.0 * d / np.pi) * z
 
 

@@ -12,17 +12,34 @@ import math
 from typing import Iterable, Sequence
 
 
+def _cell_format(kind: type) -> str:
+    """printf-style format of one CSV cell: integers (not bools) as written,
+    anything else as a float with 17 significant digits."""
+    return "%d" if issubclass(kind, int) and kind is not bool else "%.17g"
+
+
 def format_value(x) -> str:
-    if isinstance(x, (int,)) and not isinstance(x, bool):
-        return str(x)
-    return format(float(x), ".17g")
+    return _cell_format(type(x)) % x
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one line per row, each through a single %-format string.
+
+    The format is built once per distinct sequence of cell types, so a
+    row costs one formatting call instead of one per value.  Python floats
+    format faster than numpy scalars: pass ``array.tolist()`` for long rows.
+    """
+    row_formats: dict[tuple, str] = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = row_formats.get(kinds)
+            if fmt is None:
+                fmt = ",".join(map(_cell_format, kinds)) + "\n"
+                row_formats[kinds] = fmt
+            fh.write(fmt % row)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")

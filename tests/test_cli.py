@@ -1,3 +1,4 @@
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -280,6 +281,33 @@ def test_selftest_flags_injected_corruption():
     results = cli.selftest_checks(config, spectrum_override=corrupted)
     failures = {r.name for r in results if not r.passed}
     assert "spectrum_interlacing" in failures
+
+
+def test_selftest_entropy_check_sees_a_scaled_column():
+    config = cli.RunConfig(n_modes=120)
+    params = config.make_params()
+    spec = dc.solve_spectrum(params)
+    matrix = dc.build_matrix(params, spec)
+    entries = matrix.entries.copy()
+    entries[:, 0] *= 1.001
+    scaled = dataclasses.replace(matrix, entries=entries)
+    results = cli.selftest_checks(config, matrix_override=scaled)
+    failures = {r.name for r in results if not r.passed}
+    assert {"entropy_flatness", "unitarity_rows"} <= failures
+
+
+def test_selftest_runs_the_dense_entropy_check_once_at_small_n(monkeypatch):
+    calls = []
+    original = cli.bipartite.entropy_time_independence_check
+
+    def spy(params, *args, **kwargs):
+        calls.append(params.n_modes)
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli.bipartite, "entropy_time_independence_check", spy)
+    results = cli.selftest_checks(cli.RunConfig(n_modes=300))
+    assert all(r.passed for r in results)
+    assert len(calls) == 1 and calls[0] <= 100
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dressedcavity as dc
+from dressedcavity import evolution
 from dressedcavity.errors import ApproximationDomainError, ConsistencyError
 
 LOWER_BOUND_D01 = 0.36729331802172701  # closed-form bound at delta=0.1
@@ -168,3 +171,40 @@ def test_lower_bound_domain():
     # the bracket 1 - 4 pi d/3 - 4 pi^2 d^2/9 is negative from d ~ 0.198
     with pytest.raises(ApproximationDomainError):
         dc.small_cavity_lower_bound(dc.make_params(1.0, 0.5, delta=0.2))
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 4001])
+def test_phase_sum_blocks_equal_unblocked_product(
+    size, baseline_matrix, baseline_spectrum
+):
+    omegas = baseline_spectrum.omegas
+    weights = baseline_matrix.entries[0] ** 2
+    times = np.linspace(0.0, 100.0, size)
+    blocked = evolution._phase_sum(omegas, weights, times)
+    unblocked = np.exp(-1j * np.outer(times, omegas)) @ weights
+    assert np.array_equal(blocked, unblocked)
+
+
+def _traced_peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_time_grid_temporaries_stay_bounded(baseline_matrix, baseline_spectrum):
+    """A whole (times x modes) phase matrix at 4001 t and N=1000 is 64 MB."""
+    times = np.linspace(0.0, 100.0, 4001)
+    survival_peak = _traced_peak_bytes(
+        dc.survival_probability, baseline_matrix, baseline_spectrum, times
+    )
+    assert survival_peak < 16e6
+    series_peak = _traced_peak_bytes(
+        dc.small_cavity_amplitude_first_order,
+        dc.make_params(1.0, 0.5, delta=0.1),
+        times,
+        1000,
+    )
+    assert series_peak < 16e6
