@@ -177,24 +177,33 @@ def single_atom_reduced_density(
     return SingleAtomReducedDensity(elements=rho)
 
 
-def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
+def von_neumann_entropy(eigenvalues) -> float | np.ndarray:
     """-sum alpha ln alpha over a probability spectrum, with 0 ln 0 = 0.
 
-    Eigenvalues may dip to -1e-10 (numerical noise) and are clipped to
-    [0, 1]; anything below 1e-12 is treated as an exact zero before the
-    logarithm.  The spectrum must sum to one within 1e-6.
+    The spectrum runs along the last axis: a single spectrum gives a
+    float, a stack of spectra one entropy per leading index.  Eigenvalues
+    may dip to -1e-10 (numerical noise) and are clipped to [0, 1];
+    anything below 1e-12 is treated as an exact zero before the logarithm.
+    Each spectrum must sum to one within 1e-6.
     """
     alpha = np.asarray(eigenvalues, dtype=float)
+    single = alpha.ndim <= 1
+    alpha = np.atleast_1d(alpha)
     if np.any(alpha < -1e-10):
         raise NormalizationError(
             f"eigenvalue {alpha.min()} is negative beyond tolerance"
         )
-    total = float(alpha.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise NormalizationError(f"eigenvalues sum to {total}, expected 1")
+    totals = alpha.sum(axis=-1)
+    off = np.abs(totals - 1.0) > 1e-6
+    if np.any(off):
+        raise NormalizationError(
+            f"eigenvalues sum to {totals[off].flat[0]}, expected 1"
+        )
     alpha = np.clip(alpha, 0.0, 1.0)
-    alpha = alpha[alpha > _EIGENVALUE_FLOOR]
-    return float(-np.sum(alpha * np.log(alpha)))
+    keep = alpha > _EIGENVALUE_FLOOR
+    terms = np.where(keep, alpha * np.log(np.where(keep, alpha, 1.0)), 0.0)
+    entropy = -terms.sum(axis=-1)
+    return float(entropy) if single else entropy
 
 
 def rank_two_entropy(xi: float, row_norms: np.ndarray) -> np.ndarray:
@@ -205,7 +214,8 @@ def rank_two_entropy(xi: float, row_norms: np.ndarray) -> np.ndarray:
     no dense eigensolver is needed.  Unitarity (s = 1) gives
     ``analytic_entropy``.
     """
-    return np.array([von_neumann_entropy([1.0 - xi, xi * s]) for s in row_norms])
+    s = np.asarray(row_norms, dtype=float)
+    return von_neumann_entropy(np.stack([np.full(s.shape, 1.0 - xi), xi * s], -1))
 
 
 def analytic_entropy(xi: float) -> float:

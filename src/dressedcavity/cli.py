@@ -76,6 +76,8 @@ class RunConfig:
     dump_matrix: bool = False
 
     def validate(self) -> None:
+        if not np.isfinite([self.t_min, self.t_max]).all():
+            raise ValidationError("t_min and t_max must be finite")
         if self.t_max <= self.t_min:
             raise ValidationError("t_max must exceed t_min")
         if self.t_max <= 0:
@@ -90,8 +92,8 @@ class RunConfig:
             )
         if self.xi_steps < 1:
             raise ValidationError("xi_steps must be at least 1")
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValidationError("tol must be positive and finite")
         if self.series_terms < 1:
             raise ValidationError("series_terms must be at least 1")
         if not self.n_sweep:
@@ -297,14 +299,10 @@ def figure2_grid(xi_steps: int) -> tuple[np.ndarray, np.ndarray]:
     mirror symmetry E(xi) = E(1-xi) exact in floating point.
     """
     denom = xi_steps + 1
-    xis = np.empty(xi_steps)
-    entropies = np.empty(xi_steps)
-    for i in range(1, denom):
-        w_lo = i / denom
-        w_hi = (denom - i) / denom
-        xis[i - 1] = w_lo
-        entropies[i - 1] = bipartite.von_neumann_entropy([w_hi, w_lo])
-    return xis, entropies
+    i = np.arange(1, denom)
+    xis = i / denom
+    pairs = np.stack([(denom - i) / denom, xis], -1)
+    return xis, bipartite.von_neumann_entropy(pairs)
 
 
 def cmd_figure2(config: RunConfig) -> int:

@@ -8,13 +8,11 @@ with w the renormalized atom frequency.  It is evaluated in two
 independent ways.
 
 Quadrature, any coupling.  The integrand has a resonance shoulder of width
-~g around w and an oscillatory 1/x^2 tail, so the quadrature splits
-[0, inf) at the shoulder points {w-2g, w+2g} and then integrates
-half-period by half-period (width pi/t), accelerating the alternating
-partial sums by repeated averaging.  The half-period panels are taken in
-blocks, each panel by one fixed pair of Gauss-Legendre rules; a panel on
-which the two rules disagree by more than its error budget is integrated
-adaptively instead.
+~g around w and an oscillatory 1/x^2 tail, so the quadrature integrates
+adaptive panels between the shoulder points {w-2g, w+2g, ...} and hands
+the tail beyond the last of them to QUADPACK's Fourier-integral routine
+QAWF (Piessens et al., QUADPACK, 1983), which sums it period by period
+and extrapolates with the epsilon algorithm.
 
 Closed form, weak coupling (g < w, kappa = sqrt(w^2 - g^2)).  The
 denominator has the roots r = +-kappa +- ig, and partial fractions give
@@ -38,23 +36,16 @@ large near g = w, multiplies only Im F, which is of order kappa.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1, expi, roots_laguerre, roots_legendre
+from scipy.special import exp1, expi, roots_laguerre
 
 from .errors import ApproximationDomainError, QuadratureError, RegimeError
 from .params import REGIME_WEAK, SystemParams
 
 #: default absolute accuracy of the semi-infinite quadratures
 DEFAULT_TOL = 1e-8
-
-_MAX_HALF_PERIODS = 128
-_EULER_WINDOW = 24
-_PANEL_BATCH = 16  # half-period panels per vectorised Gauss-Legendre pass
-_GAUSS_HI = roots_legendre(20)
-_GAUSS_LO = roots_legendre(10)
 
 # e^z E_1(z) = int_0^inf e^{-u} / (u + z) du by Gauss-Laguerre once |z| >= 2
 _LAGUERRE = roots_laguerre(96)
@@ -97,14 +88,6 @@ def _shoulders(params: SystemParams) -> tuple[float, ...]:
     return tuple(sorted(p for p in points if p > 0.0))
 
 
-def _euler_limit(partial_sums: list[float]) -> float:
-    """Limit estimate of alternating partial sums by repeated averaging."""
-    arr = np.array(partial_sums[-_EULER_WINDOW:])
-    while arr.size > 1:
-        arr = 0.5 * (arr[1:] + arr[:-1])
-    return float(arr[0])
-
-
 def _panel(f, a, b, kind, t, epsabs):
     # panel-level error budgeting replaces QUADPACK's warning policy; the
     # oscillatory-weight routine only pays off beyond a few periods per
@@ -123,41 +106,21 @@ def _panel(f, a, b, kind, t, epsabs):
         )
 
 
-def _gauss_pair(f, edges, kind, t):
-    """Fixed-rule values on the panels between consecutive ``edges``.
-
-    Returns the 20-point Gauss-Legendre values and their differences from
-    the 10-point values, one entry per panel.
-    """
-    trig = np.cos if kind == "cos" else np.sin
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    rad = 0.5 * (edges[1:] - edges[:-1])
-
-    def rule(nodes, weights):
-        x = mid[:, None] + rad[:, None] * nodes
-        return rad * ((f(x) * trig(t * x)) @ weights)
-
-    hi = rule(*_GAUSS_HI)
-    return hi, np.abs(hi - rule(*_GAUSS_LO))
-
-
 def _fourier_semi_infinite(
     params: SystemParams, t: float, kind: str, tol: float
 ) -> tuple[float, float]:
     """int_0^inf f(x) * {cos,sin}(x t) dx for the spectral weight f.
 
-    Shoulder panels first, then half-period panels whose alternating
-    partial sums are accelerated by repeated averaging.  Half-period panels
-    come in blocks of ``_PANEL_BATCH`` from :func:`_gauss_pair`; a panel
-    whose rule difference exceeds ``epsabs`` is redone by the adaptive
-    :func:`_panel`, and the difference or the adaptive estimate is its
-    error.  Convergence is declared once two consecutive accelerated
-    estimates agree within the budget.  Returns (value, achieved error
-    estimate) and raises QuadratureError when the estimate cannot be
-    brought below ``tol`` within the panel budget.
+    Shoulder panels by :func:`_panel` up to the last shoulder point, then
+    the oscillatory tail beyond it by QUADPACK's Fourier-integral routine
+    QAWF (``quad`` with ``weight`` and an infinite upper limit), which
+    integrates period by period and extrapolates the partial sums with the
+    epsilon algorithm.  Returns (value, achieved error estimate), the
+    estimate being the sum of the panel and tail estimates, and raises
+    QuadratureError when it exceeds ``tol``.
     """
-    if tol <= 0.0:
-        raise QuadratureError("tolerance must be positive", achieved=np.inf)
+    if not 0.0 < tol < np.inf:
+        raise QuadratureError("tolerance must be positive and finite", np.inf)
     f = _spectral_weight(params)
     shoulders = _shoulders(params)
     epsabs = max(tol / 100.0, 1e-13)
@@ -184,44 +147,20 @@ def _fourier_semi_infinite(
         return head + tail, est
 
     total = 0.0
-    head_est = 0.0
+    achieved = 0.0
     prev = 0.0
     for s in shoulders:
         v, e = _panel(f, prev, s, kind, t, epsabs)
         total += v
-        head_est += e
+        achieved += e
         prev = s
-
-    half = np.pi / t
-    running = 0.0
-    sums: list[float] = []
-    window_est: deque = deque(maxlen=_EULER_WINDOW)
-    prev_accel = None
-    gap = prev_gap = np.inf
-    accel = np.nan
-    x = prev
-    for j in range(_MAX_HALF_PERIODS):
-        i = j % _PANEL_BATCH
-        if i == 0:
-            edges = x + half * np.arange(_PANEL_BATCH + 1)
-            values, diffs = _gauss_pair(f, edges, kind, t)
-            x = edges[-1]
-        v, e = values[i], diffs[i]
-        if e > epsabs:
-            v, e = _panel(f, edges[i], edges[i + 1], kind, t, epsabs)
-        running += v
-        window_est.append(e)
-        sums.append(running)
-        if j >= 7:
-            accel = _euler_limit(sums)
-            if prev_accel is not None:
-                prev_gap, gap = gap, abs(accel - prev_accel)
-                achieved = head_est + sum(window_est) + gap + prev_gap
-                if gap < 0.25 * tol and prev_gap < 0.25 * tol and achieved <= tol:
-                    return total + accel, achieved
-            prev_accel = accel
-    achieved = head_est + sum(window_est) + gap + prev_gap
-    raise QuadratureError("oscillatory tail did not converge", achieved)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        tail, e = quad(f, prev, np.inf, weight=kind, wvar=t, epsabs=epsabs)
+    achieved += e
+    if achieved > tol:
+        raise QuadratureError("oscillatory tail did not converge", achieved)
+    return total + tail, achieved
 
 
 def freespace_f00_numeric(
@@ -232,8 +171,8 @@ def freespace_f00_numeric(
     Real part (4g/pi) * cos transform, imaginary part -(4g/pi) * sin
     transform of the spectral weight, each to absolute accuracy ``tol``.
     """
-    if t < 0.0:
-        raise ApproximationDomainError("t must be non-negative")
+    if not 0.0 <= t < np.inf:  # also rejects NaN
+        raise ApproximationDomainError("t must be finite and non-negative")
     pref = 4.0 * params.g / np.pi
     re, _ = _fourier_semi_infinite(params, t, "cos", tol=tol / pref)
     im, _ = _fourier_semi_infinite(params, t, "sin", tol=tol / pref)
@@ -249,8 +188,8 @@ def g_integral(params: SystemParams, t: float, tol: float = DEFAULT_TOL) -> floa
     G(0) = 0 exactly.  For weak coupling :func:`freespace_f00_closed` has
     G in closed form.
     """
-    if t < 0.0:
-        raise ApproximationDomainError("t must be non-negative")
+    if not 0.0 <= t < np.inf:  # also rejects NaN
+        raise ApproximationDomainError("t must be finite and non-negative")
     pref = 4.0 * params.g / np.pi
     val, _ = _fourier_semi_infinite(params, t, "sin", tol=tol / pref)
     return -pref * val

@@ -51,7 +51,6 @@ class ModeMatrix:
     """(N+1) x (N+1) transformation matrix with truncation diagnostics."""
 
     entries: np.ndarray               # rows: atom, field 1..N; cols: modes 0..N
-    renormalized: bool                # columns rescaled to unit norm
     raw_column_norms: np.ndarray      # column norms before any correction
     raw_orthogonality_defect: float   # max |column dot| off the diagonal, raw
     orthogonalization_shift: float    # max |entry change| due to Loewdin step
@@ -218,7 +217,6 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
 
     return ModeMatrix(
         entries=entries,
-        renormalized=True,
         raw_column_norms=raw_norms,
         raw_orthogonality_defect=raw_offdiag,
         orthogonalization_shift=shift,

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dressedcavity as dc
+from dressedcavity import cli
 from dressedcavity.errors import (
     NormalizationError,
     PhysicalityError,
@@ -164,6 +165,39 @@ def test_von_neumann_entropy_values():
     assert dc.von_neumann_entropy([1.0, 0.0, 0.0]) == 0.0
     # tiny negatives from eigensolvers are clipped
     assert dc.von_neumann_entropy([1.0, -1e-12, 1e-13]) == 0.0
+
+
+def loop_entropy(spectrum):
+    """One spectrum at a time, zeros dropped before the logarithm."""
+    alpha = np.clip(np.asarray(spectrum, dtype=float), 0.0, 1.0)
+    alpha = alpha[alpha > 1e-12]
+    return float(-np.sum(alpha * np.log(alpha)))
+
+
+def test_von_neumann_entropy_of_stacked_spectra():
+    stacked = np.array([[0.5, 0.5], [0.7, 0.3], [1.0, 0.0], [1.0, -1e-12]])
+    entropies = dc.von_neumann_entropy(stacked)
+    assert np.array_equal(entropies, [loop_entropy(s) for s in stacked])
+    assert dc.von_neumann_entropy(stacked.reshape(2, 2, 2)).shape == (2, 2)
+    # the sum-to-one check applies to each spectrum, not to the stack
+    with pytest.raises(NormalizationError):
+        dc.von_neumann_entropy([[0.5, 0.5], [0.4, 0.4], [0.6, 0.6]])
+    with pytest.raises(NormalizationError):
+        dc.von_neumann_entropy([[0.5, 0.5], [1.1, -0.1]])
+
+
+def test_vectorised_entropies_equal_per_spectrum_loop():
+    rng = np.random.default_rng(3)
+    norms = np.concatenate([[1.0], 1.0 + 1e-9 * rng.standard_normal(998)])
+    for xi in (0.1, 0.3, 0.5, 0.77):
+        expected = [loop_entropy([1.0 - xi, xi * s]) for s in norms]
+        assert np.array_equal(dc.rank_two_entropy(xi, norms), expected)
+    for n in (1, 2, 199, 1000):
+        xis, entropies = cli.figure2_grid(n)
+        expected = [loop_entropy([(n + 1 - i) / (n + 1), i / (n + 1)])
+                    for i in range(1, n + 1)]
+        assert np.array_equal(xis, [i / (n + 1) for i in range(1, n + 1)])
+        assert np.array_equal(entropies, expected)
 
 
 def test_von_neumann_entropy_guards():

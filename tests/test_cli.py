@@ -337,11 +337,11 @@ def test_bad_mode_precondition_exit_code(tmp_path):
 
 
 def test_convergence_entropy_uses_config_xi(tmp_path, monkeypatch):
-    weights = []
+    spectra = []
     original = cli.bipartite.von_neumann_entropy
 
     def spy(probabilities):
-        weights.append(list(probabilities))
+        spectra.append(np.array(probabilities))
         return original(probabilities)
 
     monkeypatch.setattr(cli.bipartite, "von_neumann_entropy", spy)
@@ -349,10 +349,25 @@ def test_convergence_entropy_uses_config_xi(tmp_path, monkeypatch):
         ["convergence", "--n-sweep", "20", "--xi", "0.2", "--out", str(tmp_path)]
     )
     assert rc == 0
-    assert len(weights) == 3  # one per check time
-    for ground, excited in weights:
-        assert ground == pytest.approx(0.8, abs=1e-15)
-        assert excited == pytest.approx(0.2, abs=1e-9)
+    assert len(spectra) == 1  # one stacked call over the check times
+    (stacked,) = spectra
+    assert stacked.shape == (3, 2)
+    assert np.all(np.abs(stacked[:, 0] - 0.8) <= 1e-15)
+    assert np.all(np.abs(stacked[:, 1] - 0.2) <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t-max", "nan"],
+        ["--t-max", "inf"],
+        ["--mode", "free_space_numeric", "--tol", "inf"],
+    ],
+)
+def test_non_finite_settings_exit_3_without_output(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main(["evolve", *argv, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -363,6 +378,10 @@ def test_convergence_entropy_uses_config_xi(tmp_path, monkeypatch):
         ("series_terms", 0),
         ("n_sweep", ()),
         ("n_sweep", (100, 0, 300)),
+        ("tol", float("inf")),
+        ("tol", float("nan")),
+        ("t_min", float("-inf")),
+        ("t_max", float("nan")),
     ],
 )
 def test_validate_rejects_bad_numeric_settings(field, value):

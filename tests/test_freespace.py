@@ -173,11 +173,20 @@ def test_unreachable_tolerance_raises(weak):
     assert excinfo.value.achieved > 0.0
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+def test_invalid_tolerance_rejected(weak, tol):
+    for t in (0.0, 2.0):
+        with pytest.raises(QuadratureError, match="tolerance"):
+            dc.freespace_f00_numeric(weak, t, tol=tol)
+
+
 def test_negative_time_rejected(weak):
-    with pytest.raises(ApproximationDomainError):
-        dc.freespace_f00_numeric(weak, -1.0)
-    with pytest.raises(ApproximationDomainError):
-        dc.g_integral(weak, -0.5)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ApproximationDomainError):
+            dc.freespace_f00_numeric(weak, bad)
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ApproximationDomainError):
+            dc.g_integral(weak, bad)
     for bad in (-1e-3, np.nan):
         with pytest.raises(ApproximationDomainError):
             dc.freespace_f00_closed(weak, np.array([0.0, 1.0, bad, 2.0]))
@@ -255,3 +264,30 @@ def test_numeric_strong_coupling_matches_weighted_quad(g):
     im_ref = -pref * quad(f, 0, np.inf, weight="sin", wvar=3.0, limit=2000)[0]
     numeric = dc.freespace_f00_numeric(p, 3.0, tol=1e-10)
     assert abs(numeric - complex(re_ref, im_ref)) <= 1e-9
+
+
+def quadosc_f00(params, t):
+    """f_00(t) at 20 digits by mpmath's oscillatory quadrature.
+
+    ``quadosc`` integrates x^2 e^{-ixt} / D(x) between consecutive
+    half-periods by Gauss-Legendre and extrapolates the alternating
+    partial sums, sharing no code with QUADPACK.
+    """
+    with mp.workdps(20):
+        w, g, tt = mp.mpf(params.omega_bar), mp.mpf(params.g), mp.mpf(t)
+
+        def integrand(x):
+            x2 = x * x
+            return x2 / ((x2 - w * w) ** 2 + 4 * g * g * x2) * mp.expj(-tt * x)
+
+        total = mp.quadosc(integrand, [0, mp.inf], omega=tt)
+        return complex(4 * g / mp.pi * total)
+
+
+@pytest.mark.parametrize("g", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("t", [0.5, 20.0])
+def test_numeric_matches_mpmath_quadosc(g, t):
+    """Quadrature against a reference that shares no code with QUADPACK."""
+    p = dc.make_params(1.0, g, delta=0.1)
+    numeric = dc.freespace_f00_numeric(p, t, tol=1e-10)
+    assert abs(numeric - quadosc_f00(p, t)) <= 1e-10

@@ -64,7 +64,6 @@ def test_field_element_near_resonance_guard(baseline_params):
 def test_build_matrix_column_norms(small_matrix):
     norms = np.linalg.norm(small_matrix.entries, axis=0)
     assert np.abs(1.0 - norms).max() < 1e-12
-    assert small_matrix.renormalized
 
 
 def test_build_matrix_columns_orthogonal(small_matrix):
