@@ -10,9 +10,19 @@ over the normal modes s.  With the orthogonalized mode matrix the family
 f_mu_nu is exactly unitary at any truncation: f_mu_nu(0) = delta_mu_nu and
 sum_nu |f_mu_nu(t)|^2 = 1 for all t, to machine precision.
 
-Functions that take a time grid walk it in blocks of ``_TIME_CHUNK``
-times, so their temporaries hold at most ``_TIME_CHUNK`` phases per mode
-whatever the length of the grid.
+Mode sums over a time grid factor each phase.  On a uniform grid
+t_j = t_0 + j h, cut into blocks of B = ceil(sqrt(T)) times, the time
+t_{bB+k} is the block start t_{bB} plus the offset k h, so
+
+    exp(-i Omega_s t_{bB+k}) = exp(-i Omega_s t_{bB}) * exp(-i Omega_s k h).
+
+The B offset phases per mode are exponentiated once per grid and the
+block-start phases once per block; matrix products combine them.  That
+takes about 2 sqrt(T) (N+1) complex exponentials instead of T (N+1), and
+the result agrees with the direct sum to the same order of roundoff,
+eps * Omega_s * t (see :func:`_phase_sum`).  Any other grid takes B = 1,
+which is the direct sum through the same code.  Temporaries hold
+O((B + ``_TIME_CHUNK``) (N+1)) phases whatever the length of the grid.
 
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 """
@@ -29,8 +39,10 @@ from .modes import ModeMatrix
 from .params import SystemParams
 from .spectrum import Spectrum
 
-# times per block of a grid: bounds the (times x modes) phase temporaries
+# times (or block starts) per chunk of a grid: bounds the phase temporaries
 _TIME_CHUNK = 256
+# a grid is uniform when every t_j lies within this many ulps of t_0 + j h
+_UNIFORM_ULPS = 4
 
 
 def _check_pair(matrix: ModeMatrix, spectrum: Spectrum) -> None:
@@ -41,21 +53,57 @@ def _check_pair(matrix: ModeMatrix, spectrum: Spectrum) -> None:
         )
 
 
+def _phases(omegas: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i * omegas[s] * times[j]) as a (modes x times) matrix."""
+    return np.exp(-1j * np.outer(omegas, times))
+
+
+def _grid_factors(omegas: np.ndarray, weights: np.ndarray, times: np.ndarray):
+    """Weighted offset table and block starts of a time grid.
+
+    Returns (table, starts): ``table[s, k] = weights[s] exp(-i omegas[s]
+    k h)`` for k < B, whose column k = 0 is ``weights`` itself and is not
+    exponentiated, and ``starts = times[::B]``.  The grid counts as
+    uniform, with B = ceil(sqrt(T)), when it has more than two points and
+    each t_j lies within ``_UNIFORM_ULPS`` ulps of t_0 + j h, where
+    h = (t_{T-1} - t_0)/(T - 1); ``np.linspace`` output passes.  Any
+    other grid takes B = 1.
+    """
+    n = times.size
+    b, h = 1, 0.0
+    if n > 2:
+        h = (times[-1] - times[0]) / (n - 1)
+        drift = np.abs(times - (times[0] + h * np.arange(n)))
+        if np.all(drift <= _UNIFORM_ULPS * np.spacing(np.abs(times).max())):
+            b = int(np.ceil(np.sqrt(n)))
+    table = np.empty((omegas.size, b), dtype=complex)
+    table[:, 0] = weights
+    table[:, 1:] = weights[:, None] * _phases(omegas, h * np.arange(1, b))
+    return table, times[::b]
+
+
 def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     """sum_s weights[s] * exp(-i * omegas[s] * t) for every t of the grid.
 
-    The grid is cut into nearly equal blocks of at most ``_TIME_CHUNK``
-    times, one phase matrix and one matrix-vector product each.  No block
-    holds a single time unless the grid does: numpy takes a one-row
-    product through a dot product, which rounds differently, whereas these
-    blocks give the unblocked ``np.exp(-1j * np.outer(times, omegas)) @
-    weights`` bitwise.
+    The block-start phases V[s, b] = exp(-i omegas[s] t_{bB}) times the
+    weighted offset table give the sums block by block: ``V.T @ table`` is
+    (blocks x B), one complex matrix product for up to
+    ``max(_TIME_CHUNK, B)`` blocks, so a single product for any uniform
+    grid, whose ceil(T/B) blocks never outnumber B.  Each factor carries a phase error of order
+    eps * omegas[s] * t, as the direct exp(-i omegas[s] t) does, and a
+    uniform grid's t_j differs from t_{bB} + k h by a few ulps of the
+    largest t.  Against a long-double reference the error stays within
+    2 eps sum_s |weights[s]| (1 + omegas[s] t_max); measured up to 0.30 of
+    that on uniform grids, against 0.11 for the direct sum
+    (``test_phase_sum_matches_long_double_reference``).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    blocks = np.array_split(times, max(1, -(-times.size // _TIME_CHUNK)))
-    return np.concatenate(
-        [np.exp(-1j * np.outer(ts, omegas)) @ weights for ts in blocks]
-    )
+    table, starts = _grid_factors(omegas, weights, times)
+    sums = np.empty((starts.size, table.shape[1]), dtype=complex)
+    step = max(_TIME_CHUNK, table.shape[1])
+    for i in range(0, starts.size, step):
+        sums[i : i + step] = _phases(omegas, starts[i : i + step]).T @ table
+    return sums.ravel()[: times.size]
 
 
 def amplitude(
@@ -98,19 +146,23 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
 
     ``entries`` is any (N+1)^2 mode matrix whose columns pair with
     ``omegas``, so the unrepaired matrix passes through the same sum.  The
-    grid is taken in blocks of ``_TIME_CHUNK`` times, two real matrix
-    products per block.
+    grid is taken in chunks of whole blocks, at most ``_TIME_CHUNK`` times
+    or one block.  Each chunk's weighted phase matrix is its block-start
+    phases times the weighted offset table (module docstring), with no
+    further exponential, and takes two real matrix products.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    weights = entries[mu]
-    sums = np.empty(times.size)
-    for start in range(0, times.size, _TIME_CHUNK):
-        ts = times[start : start + _TIME_CHUNK]
-        x = weights[:, None] * np.exp(-1j * np.outer(omegas, ts))
+    table, starts = _grid_factors(omegas, entries[mu], times)
+    b = table.shape[1]
+    step = max(1, _TIME_CHUNK // b)
+    sums = np.empty(starts.size * b)
+    for i in range(0, starts.size, step):
+        v = _phases(omegas, starts[i : i + step])
+        x = (v[:, :, None] * table[:, None, :]).reshape(omegas.size, -1)
         yr = entries @ x.real
         yi = entries @ x.imag
-        sums[start : start + _TIME_CHUNK] = (yr**2 + yi**2).sum(axis=0)
-    return sums
+        sums[i * b : (i + step) * b] = (yr**2 + yi**2).sum(axis=0)
+    return sums[: times.size]
 
 
 def unitarity_defect(

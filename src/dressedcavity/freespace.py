@@ -46,6 +46,9 @@ from .params import REGIME_WEAK, SystemParams
 
 #: default absolute accuracy of the semi-infinite quadratures
 DEFAULT_TOL = 1e-8
+# smallest absolute accuracy asked of a quadrature call; a transform whose
+# budget lies below it is refused, since no call is asked to reach it
+_EPSABS_FLOOR = 1e-13
 
 # e^z E_1(z) = int_0^inf e^{-u} / (u + z) du by Gauss-Laguerre once |z| >= 2
 _LAGUERRE = roots_laguerre(96)
@@ -117,13 +120,18 @@ def _fourier_semi_infinite(
     integrates period by period and extrapolates the partial sums with the
     epsilon algorithm.  Returns (value, achieved error estimate), the
     estimate being the sum of the panel and tail estimates, and raises
-    QuadratureError when it exceeds ``tol``.
+    QuadratureError when it exceeds ``tol``.  A ``tol`` below
+    ``_EPSABS_FLOOR`` is refused before any integration.
     """
-    if not 0.0 < tol < np.inf:
-        raise QuadratureError("tolerance must be positive and finite", np.inf)
+    if not _EPSABS_FLOOR <= tol < np.inf:
+        raise QuadratureError(
+            f"tolerance must be finite and at least {_EPSABS_FLOOR:g} per "
+            "transform",
+            np.inf,
+        )
     f = _spectral_weight(params)
     shoulders = _shoulders(params)
-    epsabs = max(tol / 100.0, 1e-13)
+    epsabs = max(tol / 100.0, _EPSABS_FLOOR)
 
     if t == 0.0:
         if kind == "sin":
@@ -170,6 +178,8 @@ def freespace_f00_numeric(
 
     Real part (4g/pi) * cos transform, imaginary part -(4g/pi) * sin
     transform of the spectral weight, each to absolute accuracy ``tol``.
+    Raises :class:`QuadratureError` before integrating when the budget
+    per transform, tol * pi/(4g), lies below 1e-13.
     """
     if not 0.0 <= t < np.inf:  # also rejects NaN
         raise ApproximationDomainError("t must be finite and non-negative")
@@ -184,7 +194,8 @@ def g_integral(params: SystemParams, t: float, tol: float = DEFAULT_TOL) -> floa
 
     G(t) = -(4g/pi) * int_0^inf x^2 sin(x t) / [(x^2-w^2)^2 + 4g^2x^2] dx,
 
-    by quadrature to absolute accuracy ``tol``, in any coupling regime.
+    by quadrature to absolute accuracy ``tol``, in any coupling regime,
+    with the tolerance floor of :func:`freespace_f00_numeric`.
     G(0) = 0 exactly.  For weak coupling :func:`freespace_f00_closed` has
     G in closed form.
     """

@@ -91,6 +91,26 @@ def test_row_norms_match_amplitude_rows(n_modes):
             assert np.abs(sums - direct).max() <= 1e-14
 
 
+def test_row_norms_of_a_non_unitary_matrix():
+    """Row sums that vary in time (0.6 to 2.5 here) pin the order of the
+    factored time blocks; measured error at most 0.2 of the bound."""
+    n = 30
+    omegas = dc.solve_spectrum(dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)).omegas
+    entries = np.random.default_rng(3).normal(size=(n + 1, n + 1)) / np.sqrt(n + 1)
+    for times in (
+        np.linspace(0.0, 50.0, 3),
+        np.linspace(0.0, 50.0, 257),
+        np.linspace(0.0, 50.0, 4001),
+        _jittered_grid(257, 50.0),
+    ):
+        for mu in (0, n):
+            sums = dc.row_norms(entries, omegas, mu, times)
+            rows = [entries @ (entries[mu] * np.exp(-1j * omegas * t)) for t in times]
+            direct = np.array([np.sum(np.abs(row) ** 2) for row in rows])
+            bound = np.finfo(float).eps * (1 + omegas.max() * 50.0) * direct.max()
+            assert np.abs(sums - direct).max() <= bound
+
+
 def test_dimension_mismatch_raises(small_matrix, baseline_spectrum):
     with pytest.raises(ConsistencyError):
         dc.amplitude(small_matrix, baseline_spectrum, 0, 0, 1.0)
@@ -173,16 +193,105 @@ def test_lower_bound_domain():
         dc.small_cavity_lower_bound(dc.make_params(1.0, 0.5, delta=0.2))
 
 
-@pytest.mark.parametrize("size", [1, 255, 256, 257, 4001])
-def test_phase_sum_blocks_equal_unblocked_product(
-    size, baseline_matrix, baseline_spectrum
+def _long_double_phase_sum(omegas, weights, times):
+    """sum_s weights[s] exp(-i omegas[s] t) with phases and sums in long double."""
+    om = omegas.astype(np.longdouble)
+    w = weights.astype(np.longdouble)
+    out = np.empty(times.size, dtype=complex)
+    for i in range(0, times.size, 256):
+        phase = np.outer(times[i : i + 256].astype(np.longdouble), om)
+        out[i : i + 256] = (np.cos(phase) @ w) - 1j * (np.sin(phase) @ w)
+    return out
+
+
+def _jittered_grid(size, t_max):
+    times = np.linspace(0.0, t_max, size)
+    step = times[1] - times[0]
+    times[1:-1] += np.random.default_rng(7).uniform(-0.3, 0.3, size - 2) * step
+    return times
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+@pytest.mark.parametrize(
+    "size, t_max, uniform",
+    [
+        pytest.param(n, 100.0, True, id=str(n))
+        for n in (1, 2, 3, 255, 256, 257, 4001, 20001)
+    ]
+    + [
+        pytest.param(20001, 1e5, True, id="20001-long"),
+        pytest.param(4001, 100.0, False, id="4001-jittered"),
+    ],
+)
+def test_phase_sum_matches_long_double_reference(
+    size, t_max, uniform, baseline_matrix, baseline_spectrum
 ):
+    """|error| <= 2 eps sum_s w_s (1 + Omega_s t_max) against long double.
+
+    Measured at N=1000 (Omega_max t_max = 5e5 and 5e8), in units of
+    eps sum_s w_s (1 + Omega_s t_max): 1.0 on the one-point grid, a single
+    ulp of sum_s w_s at t = 0, and at most 0.30 on every longer grid,
+    against at most 0.11 for the direct exp(-i Omega t) sum; the jittered
+    grid takes the direct sum (0.10).  Hence C = 2.  Grids above 257
+    points are checked on every 37th time and the last, which walks every
+    offset k of their blocks (37 is prime to B = 64 and 142).
+    """
     omegas = baseline_spectrum.omegas
     weights = baseline_matrix.entries[0] ** 2
+    times = np.linspace(0.0, t_max, size) if uniform else _jittered_grid(size, t_max)
+    got = evolution._phase_sum(omegas, weights, times)
+    assert got.shape == (size,)
+    sample = np.unique(np.r_[np.arange(0, size, 1 if size <= 257 else 37), size - 1])
+    reference = _long_double_phase_sum(omegas, weights, times[sample])
+    bound = 2 * np.finfo(float).eps * np.sum(weights * (1 + omegas * t_max))
+    assert np.abs(got[sample] - reference).max() <= bound
+
+
+def _count_exponentiated(monkeypatch):
+    """Spy on evolution._phases; returns the running count of its elements."""
+    counted = [0]
+    phases = evolution._phases
+
+    def spy(omegas, times):
+        out = phases(omegas, times)
+        counted[0] += out.size
+        return out
+
+    monkeypatch.setattr(evolution, "_phases", spy)
+    return counted
+
+
+@pytest.mark.parametrize("size", [3, 257, 4001, 20001])
+def test_uniform_grids_take_the_factored_phases(
+    size, monkeypatch, baseline_matrix, baseline_spectrum, small_matrix, small_spectrum
+):
+    counted = _count_exponentiated(monkeypatch)
     times = np.linspace(0.0, 100.0, size)
-    blocked = evolution._phase_sum(omegas, weights, times)
-    unblocked = np.exp(-1j * np.outer(times, omegas)) @ weights
-    assert np.array_equal(blocked, unblocked)
+    dc.survival_probability(baseline_matrix, baseline_spectrum, times)
+    assert counted[0] < 3 * np.sqrt(size) * baseline_spectrum.omegas.size
+    counted[0] = 0
+    series_params = dc.make_params(1.0, 0.5, delta=0.1)
+    dc.small_cavity_amplitude_first_order(series_params, times, 1000)
+    assert counted[0] < 3 * np.sqrt(size) * 1000
+    counted[0] = 0
+    dc.row_norms(small_matrix.entries, small_spectrum.omegas, 0, times)
+    assert counted[0] < 3 * np.sqrt(size) * small_spectrum.omegas.size
+
+
+def test_jittered_grid_takes_direct_phases(
+    monkeypatch, baseline_matrix, baseline_spectrum, small_matrix, small_spectrum
+):
+    counted = _count_exponentiated(monkeypatch)
+    times = _jittered_grid(4001, 100.0)
+    dc.survival_probability(baseline_matrix, baseline_spectrum, times)
+    assert counted[0] == times.size * baseline_spectrum.omegas.size
+    counted[0] = 0
+    sums = dc.row_norms(small_matrix.entries, small_spectrum.omegas, 0, times)
+    assert counted[0] == times.size * small_spectrum.omegas.size
+    assert np.abs(sums - 1.0).max() < 1e-12
 
 
 def _traced_peak_bytes(fn, *args) -> int:
@@ -195,7 +304,8 @@ def _traced_peak_bytes(fn, *args) -> int:
 
 
 def test_time_grid_temporaries_stay_bounded(baseline_matrix, baseline_spectrum):
-    """A whole (times x modes) phase matrix at 4001 t and N=1000 is 64 MB."""
+    """A whole (times x modes) phase matrix at 4001 t and N=1000 is 64 MB,
+    at 20001 t 320 MB."""
     times = np.linspace(0.0, 100.0, 4001)
     survival_peak = _traced_peak_bytes(
         dc.survival_probability, baseline_matrix, baseline_spectrum, times
@@ -208,3 +318,11 @@ def test_time_grid_temporaries_stay_bounded(baseline_matrix, baseline_spectrum):
         1000,
     )
     assert series_peak < 16e6
+    rows_peak = _traced_peak_bytes(
+        dc.row_norms,
+        baseline_matrix.entries,
+        baseline_spectrum.omegas,
+        0,
+        np.linspace(0.0, 100.0, 20001),
+    )
+    assert rows_peak < 16e6

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import dressedcavity as dc
+from dressedcavity import freespace
 from dressedcavity.errors import (
     ApproximationDomainError,
     QuadratureError,
@@ -171,6 +172,33 @@ def test_unreachable_tolerance_raises(weak):
     with pytest.raises(QuadratureError) as excinfo:
         dc.freespace_f00_numeric(weak, 3.0, tol=1e-16)
     assert excinfo.value.achieved > 0.0
+
+
+def test_tolerance_below_quadrature_floor_refused(monkeypatch):
+    """At g=10 the budget per transform, tol*pi/(4g), is 7.9e-14 < 1e-13."""
+    calls = []
+    real_quad = freespace.quad
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(freespace, "quad", spy)
+    p = dc.make_params(1.0, 10.0, delta=0.1)
+    for t in (0.0, 2.0, 445.9):
+        with pytest.raises(QuadratureError, match="tolerance"):
+            dc.freespace_f00_numeric(p, t, tol=1e-12)
+        with pytest.raises(QuadratureError, match="tolerance"):
+            dc.g_integral(p, t, tol=1e-12)
+    assert calls == []
+
+
+def test_tolerance_just_above_quadrature_floor_succeeds():
+    p = dc.make_params(1.0, 10.0, delta=0.1)
+    for t in np.concatenate([[0.0], np.geomspace(1e-3, 2000.0, 30)]):
+        numeric = dc.freespace_f00_numeric(p, float(t), tol=1e-11)
+        assert np.isfinite(numeric)
+        assert dc.g_integral(p, float(t), tol=1e-11) == numeric.imag
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
