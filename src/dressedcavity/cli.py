@@ -10,8 +10,10 @@ convergence  truncation-defect report across a sweep of mode counts
 selftest     run the invariant suite at baseline parameters
 
 The commands compute through the library: f_00 by
-``evolution.atom_amplitude``, sum_nu |f_0_nu|^2 by ``evolution.row_norms``,
-impurity by ``bipartite.population_impurity`` and entropy by
+``evolution.atom_amplitude``, figure1's survival from the atom row alone
+by ``modes.atom_row`` and ``evolution.survival_from_row``, sum_nu
+|f_0_nu|^2 by ``evolution.row_norms``, impurity by
+``bipartite.population_impurity`` and entropy by
 ``bipartite.rank_two_entropy``.  The selftest takes its entropy at the
 configured N from that rank-2 spectrum too, and runs the dense
 eigensolver verifier ``bipartite.entropy_time_independence_check`` at
@@ -270,9 +272,9 @@ def cmd_figure1(config: RunConfig) -> int:
     times = config.time_grid()
 
     spec = spectrum_mod.solve_spectrum(params)
-    matrix = modes.build_matrix(params, spec)
+    row = modes.atom_row(params, spec)
     d_small = bipartite.population_impurity(
-        evolution.survival_probability(matrix, spec, times)
+        evolution.survival_from_row(row, spec, times)
     )
     free = freespace.freespace_f00_closed(params, times, tol=config.tol)
     d_free = bipartite.population_impurity(np.abs(free) ** 2)

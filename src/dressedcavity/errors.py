@@ -5,6 +5,9 @@ so callers (and the CLI) can distinguish model-level failures from plain
 Python bugs.
 """
 
+import math
+from typing import Optional
+
 
 class CavityModelError(Exception):
     """Base class for all dressedcavity errors."""
@@ -50,10 +53,16 @@ class QuadratureError(CavityModelError):
     """Semi-infinite quadrature failed to reach the requested accuracy.
 
     The ``achieved`` attribute holds the error estimate actually reached.
+    A request refused before any integration ran passes no estimate: its
+    message says so, and ``achieved`` is inf.
     """
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
+    def __init__(self, message: str, achieved: Optional[float] = None):
+        if achieved is None:
+            super().__init__(f"{message}; request refused, no integration ran")
+            achieved = math.inf
+        else:
+            super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
         self.achieved = achieved
 
 

@@ -24,6 +24,11 @@ eps * Omega_s * t (see :func:`_phase_sum`).  Any other grid takes B = 1,
 which is the direct sum through the same code.  Temporaries hold
 O((B + ``_TIME_CHUNK``) (N+1)) phases whatever the length of the grid.
 
+The atom's own amplitude f_00 needs only the atom row T[0, :]:
+:func:`survival_from_row` takes it from ``modes.atom_row`` with no mode
+matrix, and :func:`atom_amplitude` and :func:`survival_probability` take
+row 0 of a matrix through the same sum.
+
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 """
 
@@ -129,16 +134,33 @@ def amplitude_row(
     return matrix.entries @ phased
 
 
+def _row_amplitude(row: np.ndarray, spectrum: Spectrum, t) -> np.ndarray:
+    """f_00(t) = sum_s row[s]^2 exp(-i Omega_s t) from the atom row alone."""
+    if row.shape != spectrum.omegas.shape:
+        raise ConsistencyError(
+            f"atom row has {row.size} entries but spectrum has "
+            f"{spectrum.omegas.size} roots"
+        )
+    return _phase_sum(spectrum.omegas, row**2, t)
+
+
+def survival_from_row(row: np.ndarray, spectrum: Spectrum, t):
+    """|f_00(t)|^2 from the atom row T[0, :] (``modes.atom_row``).
+
+    A float for a scalar t, an array for any grid.
+    """
+    out = np.abs(_row_amplitude(row, spectrum, t)) ** 2
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
 def atom_amplitude(matrix: ModeMatrix, spectrum: Spectrum, t) -> np.ndarray:
     """Complex f_00(t) on a scalar or grid of times (vectorized mode sum)."""
-    _check_pair(matrix, spectrum)
-    return _phase_sum(spectrum.omegas, matrix.entries[0] ** 2, t)
+    return _row_amplitude(matrix.entries[0], spectrum, t)
 
 
 def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):
     """|f_00(t)|^2: a float for a scalar t, an array for any grid."""
-    out = np.abs(atom_amplitude(matrix, spectrum, t)) ** 2
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return survival_from_row(matrix.entries[0], spectrum, t)
 
 
 def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.ndarray:

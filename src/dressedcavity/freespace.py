@@ -126,8 +126,7 @@ def _fourier_semi_infinite(
     if not _EPSABS_FLOOR <= tol < np.inf:
         raise QuadratureError(
             f"tolerance must be finite and at least {_EPSABS_FLOOR:g} per "
-            "transform",
-            np.inf,
+            "transform"
         )
     f = _spectral_weight(params)
     shoulders = _shoulders(params)

@@ -212,6 +212,28 @@ def test_cmd_figure1(tmp_path):
     ET.parse(tmp_path / "figure1.svg")  # well-formed XML
 
 
+def test_cmd_figure1_takes_the_atom_row_without_the_mode_matrix(
+    tmp_path, monkeypatch
+):
+    argv = ["figure1", "--n-modes", "300", "--t-max", "40", "--t-steps", "401"]
+    builds = []
+    build_matrix = dc.modes.build_matrix
+    monkeypatch.setattr(
+        dc.modes, "build_matrix", lambda *a: builds.append(a) or build_matrix(*a)
+    )
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert builds == []
+
+    config = cli.merge_config(cli.build_parser().parse_args(argv))
+    params = config.make_params()
+    spec = dc.solve_spectrum(params)
+    matrix_path = dc.population_impurity(
+        dc.survival_probability(build_matrix(params, spec), spec, config.time_grid())
+    )
+    _, rows = read_csv(tmp_path / "figure1.csv")
+    assert np.abs(rows[:, 1] - matrix_path).max() <= 1e-13
+
+
 def test_cmd_figure2(tmp_path):
     rc = cli.main(["figure2", "--out", str(tmp_path)])
     assert rc == 0

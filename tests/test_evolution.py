@@ -74,6 +74,15 @@ def test_survival_probability_shape_follows_input(small_matrix, small_spectrum):
     assert two.shape == (2,)
 
 
+def test_survival_from_row_rejects_a_row_of_another_size(
+    small_matrix, baseline_spectrum
+):
+    with pytest.raises(ConsistencyError):
+        dc.survival_from_row(small_matrix.entries[0], baseline_spectrum, 1.0)
+    with pytest.raises(ConsistencyError):
+        dc.atom_amplitude(small_matrix, baseline_spectrum, 1.0)
+
+
 @pytest.mark.parametrize("n_modes", [1, 30, 1000])
 def test_row_norms_match_amplitude_rows(n_modes):
     params = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n_modes)

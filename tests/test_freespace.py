@@ -193,6 +193,13 @@ def test_tolerance_below_quadrature_floor_refused(monkeypatch):
     assert calls == []
 
 
+def test_refused_tolerance_says_no_integration_ran(weak):
+    with pytest.raises(QuadratureError, match="no integration ran") as excinfo:
+        dc.freespace_f00_numeric(weak, 2.0, tol=1e-16)
+    assert excinfo.value.achieved == np.inf
+    assert "achieved error estimate" not in str(excinfo.value)
+
+
 def test_tolerance_just_above_quadrature_floor_succeeds():
     p = dc.make_params(1.0, 10.0, delta=0.1)
     for t in np.concatenate([[0.0], np.geomspace(1e-3, 2000.0, 30)]):

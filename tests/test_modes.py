@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +189,84 @@ def test_build_matrix_rejects_linearly_dependent_columns(n):
     )
     with pytest.raises(NumericDomainError):
         dc.build_matrix(p, degenerate)
+
+
+def parent_raw_field_rows(params, spectrum):
+    """Field rows of the raw matrix by the out-of-place entry formula."""
+    omegas = spectrum.omegas
+    atom_row = dc.atom_element(params, omegas)
+    omega_k = params.field_frequencies()
+    denom = omega_k[:, None] ** 2 - omegas[None, :] ** 2
+    return (params.eta * omega_k[:, None] / denom) * atom_row[None, :]
+
+
+@pytest.mark.parametrize("n", [300, 1000, 1600])
+def test_assemble_raw_matrix_in_place_is_bitwise_the_entry_formula(n):
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    raw = dc.assemble_raw_matrix(p, spec)
+    assert np.array_equal(raw[0], dc.atom_element(p, spec.omegas))
+    assert np.array_equal(raw[1:], parent_raw_field_rows(p, spec))
+
+
+def test_assemble_raw_matrix_checks_every_entry_for_resonance(small_params):
+    spec = dc.solve_spectrum(small_params)
+    omegas = np.array(spec.omegas)
+    omegas[-1] = small_params.field_frequencies()[-1]
+    with pytest.raises(NearResonanceError):
+        dc.assemble_raw_matrix(small_params, replace(spec, omegas=omegas))
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 3.0, 1000.0])
+@pytest.mark.parametrize("g", [0.05, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [1, 5, 30, 300, 1000])
+def test_atom_row_matches_build_matrix(n, g, delta):
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    row = dc.atom_row(p, spec)
+    gap = np.abs(row - dc.build_matrix(p, spec).entries[0]).max()
+    assert gap <= (1e-14 if delta <= 3.0 else 1e-12)
+    assert np.all(row > 0.0)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80])
+def test_atom_row_rejects_equal_and_unordered_roots(n):
+    # the Krylov space from the atom row never meets the null vector of two
+    # identical columns, so the roots are checked before any matvec
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    equal = np.array(spec.omegas)
+    equal[1] = equal[0]
+    swapped = np.array(spec.omegas)
+    swapped[[0, 1]] = swapped[[1, 0]]
+    for omegas in (equal, swapped):
+        with pytest.raises(NumericDomainError):
+            dc.atom_row(p, replace(spec, omegas=omegas))
+
+
+def test_atom_row_rejects_approx_and_mismatched_spectra(
+    small_params, baseline_spectrum
+):
+    with pytest.raises(ConsistencyError):
+        dc.atom_row(small_params, dc.approx_spectrum_small_cavity(small_params))
+    with pytest.raises(ConsistencyError):
+        dc.atom_row(small_params, baseline_spectrum)
+
+
+def test_atom_row_peak_memory_is_two_matrices():
+    # X and the column norm's squares; build_matrix holds four at its peak.
+    # The slack of 16 length-(N+1) vectors covers the spectrum-sized arrays.
+    n = 3000
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    tracemalloc.start()
+    try:
+        row = dc.atom_row(p, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (n + 1,)
+    assert peak <= 2 * 8 * (n + 1) ** 2 + 16 * 8 * (n + 1)
 
 
 def test_build_matrix_rejects_approx_spectrum(small_params):
