@@ -20,8 +20,9 @@ eigensolver verifier ``bipartite.entropy_time_independence_check`` at
 N <= 100 only.
 
 Configuration is a flat key=value file plus per-key command-line
-overrides; flag names mirror the keys and parse alike.  Exit codes:
-0 success, 1 invariant failure, 2 I/O failure, 3 violated precondition.
+overrides; flag names mirror the keys and parse alike (``_parse_value``).
+Exit codes: 0 success, 1 invariant failure, 2 I/O failure or a command
+line that argparse rejected, 3 violated precondition.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import bipartite, evolution, freespace, modes, spectrum as spectrum_mod
 from .errors import CavityModelError, ConfigurationError, ValidationError
 from .output import svg_line_plot, write_csv
-from .params import SystemParams, make_params
+from .params import REGIME_STRONG, SystemParams, make_params
 
 MODES = (
     "small_cavity_exact",
@@ -74,7 +75,6 @@ class RunConfig:
     tol: float = 1e-8
     n_sweep: tuple = DEFAULT_N_SWEEP
     out: str = "."
-    series_terms: int = 1000
     dump_matrix: bool = False
 
     def validate(self) -> None:
@@ -96,8 +96,6 @@ class RunConfig:
             raise ValidationError("xi_steps must be at least 1")
         if not 0.0 < self.tol < np.inf:
             raise ValidationError("tol must be positive and finite")
-        if self.series_terms < 1:
-            raise ValidationError("series_terms must be at least 1")
         if not self.n_sweep:
             raise ValidationError("n_sweep must list at least one mode count")
         if min(self.n_sweep) < 1:
@@ -119,34 +117,33 @@ class RunConfig:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
 
 
-_INT_KEYS = {"n_modes", "t_steps", "xi_steps", "series_terms"}
-_STR_KEYS = {"mode", "out"}
-_TUPLE_KEYS = {"n_sweep"}
-_BOOL_KEYS = {"dump_matrix"}
-_OPTIONAL_FLOAT_KEYS = {"delta", "radius"}
+def _boolean(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# parser of each RunConfig annotation (a string under postponed evaluation)
+_PARSERS = {
+    "float": float,
+    "Optional[float]": lambda s: None if s.lower() in ("none", "") else float(s),
+    "int": int,
+    "str": str,
+    "tuple": lambda s: tuple(int(part) for part in s.split(",") if part.strip()),
+    "bool": _boolean,
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    if key in _STR_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _TUPLE_KEYS:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"{key} must be a boolean, got {raw!r}")
-    if key in _OPTIONAL_FLOAT_KEYS and raw.lower() in ("none", ""):
-        return None
-    return float(raw)
+    """The value of setting ``key`` from its text; ValueError if malformed."""
+    return _PARSERS[_FIELD_TYPES[key]](raw)
 
 
 def load_config_file(path: str) -> dict:
     """Parse a flat key=value file; '#' starts a comment."""
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -158,9 +155,14 @@ def load_config_file(path: str) -> dict:
                     f"{path}:{line_no}: expected key=value, got {line!r}"
                 )
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: bad value for {key!r}: {exc}"
+                ) from exc
     return values
 
 
@@ -169,9 +171,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     config_file = getattr(args, "config", None)
     file_values = load_config_file(config_file) if config_file else {}
     flag_values = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if getattr(args, f.name, None) is not None
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args
     }
     config = RunConfig()
     for values in (file_values, flag_values):
@@ -227,6 +227,13 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
+def _freespace_numeric(params: SystemParams, times, tol: float) -> np.ndarray:
+    """Free-space f_00 by quadrature, one call per time (any coupling)."""
+    return np.array(
+        [freespace.freespace_f00_numeric(params, float(t), tol=tol) for t in times]
+    )
+
+
 def cmd_evolve(config: RunConfig) -> int:
     params = config.make_params()
     times = config.time_grid()
@@ -248,13 +255,12 @@ def cmd_evolve(config: RunConfig) -> int:
             entropies = bipartite.rank_two_entropy(config.xi, sums)
         elif config.mode == "small_cavity_series":
             f00 = evolution.small_cavity_amplitude_first_order(
-                params, times, config.series_terms
+                params, times, params.n_modes
             )
         elif config.mode == "free_space_closed":
             f00 = freespace.freespace_f00_closed(params, times, tol=config.tol)
         else:
-            numeric = freespace.freespace_f00_numeric
-            f00 = np.array([numeric(params, float(t), tol=config.tol) for t in times])
+            f00 = _freespace_numeric(params, times, config.tol)
         abs2 = np.abs(f00) ** 2
 
     # identical atoms: the two-atom population is |f_00|^2
@@ -276,7 +282,10 @@ def cmd_figure1(config: RunConfig) -> int:
     d_small = bipartite.population_impurity(
         evolution.survival_from_row(row, spec, times)
     )
-    free = freespace.freespace_f00_closed(params, times, tol=config.tol)
+    if params.regime == REGIME_STRONG:  # no closed form for g >= omega_bar
+        free = _freespace_numeric(params, times, config.tol)
+    else:
+        free = freespace.freespace_f00_closed(params, times, tol=config.tol)
     d_free = bipartite.population_impurity(np.abs(free) ** 2)
 
     write_csv(
@@ -392,12 +401,8 @@ class CheckResult:
     detail: str
 
 
-def selftest_checks(
-    config: Optional[RunConfig] = None,
-    spectrum_override=None,
-    matrix_override=None,
-) -> list[CheckResult]:
-    """Run the invariant suite; overrides allow fault injection in tests."""
+def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
+    """Run the invariant suite at the configured parameters."""
     config = config or RunConfig()
     params = config.make_params()
     results: list[CheckResult] = []
@@ -427,7 +432,7 @@ def selftest_checks(
     check("params_round_trip", params_round_trip)
     check("params_derived_scalars", derived_scalars)
 
-    spec = spectrum_override or spectrum_mod.solve_spectrum(params)
+    spec = spectrum_mod.solve_spectrum(params)
 
     check(
         "spectrum_residuals",
@@ -452,7 +457,7 @@ def selftest_checks(
     check("spectrum_low_root_mismatch", low_root_mismatch)
 
     try:
-        matrix = matrix_override or modes.build_matrix(params, spec)
+        matrix = modes.build_matrix(params, spec)
     except CavityModelError as exc:
         # keep the named spectrum failures above visible instead of crashing
         results.append(
@@ -587,6 +592,25 @@ def cmd_selftest(config: RunConfig) -> int:
 # ----------------------------------------------------------------- plumbing
 
 
+_FLAG_HELP = {
+    "out": "output directory (default: current)",
+    "dump_matrix": "with 'spectrum': also write the mode matrix as matrix.csv",
+}
+
+
+def _flag_options(key: str) -> dict:
+    """A bare switch for a boolean setting, else a value that ``_parse_value``
+    reads as it reads the file's key."""
+    if _FIELD_TYPES[key] == "bool":
+        return {"action": "store_const", "const": True}
+
+    def parse(raw: str):
+        return _parse_value(key, raw)
+
+    parse.__name__ = key  # argparse reports "invalid <key> value"
+    return {"type": parse, "choices": MODES if key == "mode" else None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dressedcavity",
@@ -603,33 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--omega-bar", dest="omega_bar", type=float)
-        p.add_argument("--g", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--radius", type=float)
-        p.add_argument("--n-modes", dest="n_modes", type=int)
-        p.add_argument("--xi", type=float)
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--t-min", dest="t_min", type=float)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--t-steps", dest="t_steps", type=int)
-        p.add_argument("--xi-steps", dest="xi_steps", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--series-terms", dest="series_terms", type=int)
-        p.add_argument(
-            "--n-sweep",
-            dest="n_sweep",
-            type=lambda raw: _parse_value("n_sweep", raw),
-        )
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument(
-            "--dump-matrix",
-            dest="dump_matrix",
-            action="store_const",
-            const=True,
-            help="with 'spectrum': also write the mode matrix as matrix.csv",
-        )
+        for f in fields(RunConfig):
+            p.add_argument(
+                "--" + f.name.replace("_", "-"), default=argparse.SUPPRESS,
+                help=_FLAG_HELP.get(f.name), **_flag_options(f.name),
+            )
     return parser
 
 

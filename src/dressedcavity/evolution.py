@@ -27,22 +27,23 @@ O((B + ``_TIME_CHUNK``) (N+1)) phases whatever the length of the grid.
 The atom's own amplitude f_00 needs only the atom row T[0, :]:
 :func:`survival_from_row` takes it from ``modes.atom_row`` with no mode
 matrix, and :func:`atom_amplitude` and :func:`survival_probability` take
-row 0 of a matrix through the same sum.
+row 0 of a matrix through the same sum, as does the first-order series
+:func:`small_cavity_amplitude_first_order` with first-order Omega_s and row.
 
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ApproximationDomainError, ConsistencyError
-from .modes import ModeMatrix
+from .modes import ModeMatrix, small_cavity_elements
 from .params import SystemParams
-from .spectrum import Spectrum
+from .spectrum import Spectrum, approx_spectrum_small_cavity
 
 # times (or block starts) per chunk of a grid: bounds the phase temporaries
 _TIME_CHUNK = 256
@@ -214,27 +215,22 @@ class SmallCavitySeries:
 def small_cavity_amplitude_first_order(
     params: SystemParams, t, k_terms: int = 1000
 ) -> np.ndarray:
-    """First-order small-cavity f_00(t) as a complex mode sum,
+    """First-order small-cavity f_00(t), the mode sum of a model of
+    ``k_terms`` field modes,
 
-        a e^{-i Omega_0 t} + a (4 delta/pi) sum_k k^{-2} e^{-i Omega_k t}
+        sum_s w_s e^{-i Omega_s t},  w = (t00^2, tk0^2 ...),
 
-    with a = (1 + 2 pi delta/3)^(-1) and the approximate frequencies
-    Omega_0 = omega_bar(1 - pi*delta/3), Omega_k = (g/delta)(k + 2 delta/(pi k)).
+    with the frequencies of ``spectrum.approx_spectrum_small_cavity`` and
+    the squared atom-row entries of ``modes.small_cavity_elements``.  The
+    model's domain is theirs: it refuses delta >= 0.5 and
+    delta >= 2 g^2/(pi omega_bar^2), and warns above delta = 0.2.
     """
     if k_terms < 1:
         raise ApproximationDomainError("series needs at least one k term")
-    d = params.delta
-    if d >= 0.5:
-        raise ApproximationDomainError(
-            f"small-cavity series needs delta < 0.5, got {d}"
-        )
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    a = 1.0 / (1.0 + 2.0 * np.pi * d / 3.0)
-    k = np.arange(1, k_terms + 1, dtype=float)
-    omega_0 = params.omega_bar * (1.0 - np.pi * d / 3.0)
-    omega_k = (params.g / d) * (k + 2.0 * d / (np.pi * k))
-    z = _phase_sum(omega_k, 1.0 / k**2, t)
-    return a * np.exp(-1j * t * omega_0) + a * (4.0 * d / np.pi) * z
+    model = replace(params, n_modes=k_terms)
+    omegas = approx_spectrum_small_cavity(model).omegas
+    t00_sq, tk0_sq = small_cavity_elements(model)
+    return _phase_sum(omegas, np.concatenate(([t00_sq], tk0_sq)), t)
 
 
 def survival_probability_small_cavity_series(

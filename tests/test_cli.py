@@ -45,23 +45,51 @@ def test_config_file_and_overrides(tmp_path):
 
 def test_config_file_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("gg = 0.4\n")
-    with pytest.raises(ConfigurationError):
-        cli.load_config_file(str(cfg_file))
-    assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
+    # the series truncates at n_modes: there is no series_terms setting
+    for key in ("gg", "series_terms"):
+        cfg_file.write_text(f"{key} = 4\n")
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            cli.load_config_file(str(cfg_file))
+        assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
 
 
 def test_n_sweep_flag_and_file_parse_alike(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n_sweep = 100,300,\n")
+    cfg_file.write_text("n_sweep = 100,300,\nradius = 5\ndelta = none\n")
     parser = cli.build_parser()
     from_file = cli.merge_config(
         parser.parse_args(["convergence", "--config", str(cfg_file)])
     )
     from_flag = cli.merge_config(
-        parser.parse_args(["convergence", "--n-sweep", "100,300,"])
+        parser.parse_args(
+            ["convergence", "--n-sweep", "100,300,", "--radius", "5", "--delta", "none"]
+        )
     )
     assert from_file.n_sweep == from_flag.n_sweep == (100, 300)
+    assert from_file == from_flag
+    assert from_flag.delta is None and from_flag.radius == 5.0
+
+
+@pytest.mark.parametrize(
+    "line", ["g = abc", "n_modes = 1.5", "n_sweep = 100,x", "dump_matrix = maybe"]
+)
+def test_config_file_bad_value_names_line_and_key(tmp_path, capsys, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"# settings\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigurationError, match=f"{cfg_file}:2: .*'{key}'"):
+        cli.load_config_file(str(cfg_file))
+    assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
+    assert f"{cfg_file}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--g", "abc"], ["--n-modes", "1.5"], ["--n-sweep", "100,x"]]
+)
+def test_bad_flag_value_is_an_argparse_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", *argv])
+    assert exc.value.code == 2
 
 
 def test_phi_is_not_a_setting(tmp_path):
@@ -138,9 +166,11 @@ def test_cmd_evolve_exact(tmp_path):
     "mode", ["small_cavity_series", "free_space_closed", "free_space_numeric"]
 )
 def test_cmd_evolve_other_modes(tmp_path, mode):
+    # the series truncates at n_modes: 1000 terms, as at the defaults
+    n_modes = "1000" if mode == "small_cavity_series" else "50"
     rc = cli.main(
         [
-            "evolve", "--mode", mode, "--n-modes", "50", "--t-max", "5",
+            "evolve", "--mode", mode, "--n-modes", n_modes, "--t-max", "5",
             "--t-steps", "6", "--out", str(tmp_path),
         ]
     )
@@ -148,6 +178,25 @@ def test_cmd_evolve_other_modes(tmp_path, mode):
     _, rows = read_csv(tmp_path / "evolve.csv")
     assert rows[0, 3] == pytest.approx(1.0, abs=2e-3)
     assert np.all(rows[:, 3] <= 1 + 1e-9)
+
+
+def test_cmd_evolve_series_truncates_at_n_modes(tmp_path):
+    argv = ["evolve", "--mode", "small_cavity_series", "--n-modes", "100"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "evolve.csv")
+    config = cli.merge_config(cli.build_parser().parse_args(argv))
+    series = dc.small_cavity_amplitude_first_order(
+        config.make_params(), config.time_grid(), k_terms=100
+    )
+    assert np.array_equal(rows[:, 1], series.real)
+    assert np.array_equal(rows[:, 2], series.imag)
+
+
+def test_cmd_evolve_series_refuses_its_invalid_domain(tmp_path):
+    # delta = 0.1 lies above 2 g^2/(pi omega_bar^2) = 0.057 at g = 0.3
+    argv = ["evolve", "--mode", "small_cavity_series", "--g", "0.3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_evolve_free_space_closed_matches_scalar_calls(tmp_path):
@@ -234,6 +283,19 @@ def test_cmd_figure1_takes_the_atom_row_without_the_mode_matrix(
     assert np.abs(rows[:, 1] - matrix_path).max() <= 1e-13
 
 
+def test_cmd_figure1_strong_coupling_takes_the_numeric_free_space(tmp_path):
+    argv = ["figure1", "--g", "1.5", "--n-modes", "120", "--t-max", "10",
+            "--t-steps", "21"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "figure1.csv")
+    config = cli.merge_config(cli.build_parser().parse_args(argv))
+    params = config.make_params()
+    numeric = np.array(
+        [dc.freespace_f00_numeric(params, t, tol=config.tol) for t in rows[:, 0]]
+    )
+    assert np.array_equal(rows[:, 2], dc.population_impurity(np.abs(numeric) ** 2))
+
+
 def test_cmd_figure2(tmp_path):
     rc = cli.main(["figure2", "--out", str(tmp_path)])
     assert rc == 0
@@ -287,7 +349,7 @@ def test_selftest_passes_quickly():
     assert "unitarity_rows" in names
 
 
-def test_selftest_flags_injected_corruption():
+def test_selftest_flags_injected_corruption(monkeypatch):
     config = cli.RunConfig(n_modes=120)
     params = config.make_params()
     spec = dc.solve_spectrum(params)
@@ -300,12 +362,13 @@ def test_selftest_flags_injected_corruption():
         n_modes=spec.n_modes,
         delta_omega=spec.delta_omega,
     )
-    results = cli.selftest_checks(config, spectrum_override=corrupted)
+    monkeypatch.setattr(cli.spectrum_mod, "solve_spectrum", lambda p: corrupted)
+    results = cli.selftest_checks(config)
     failures = {r.name for r in results if not r.passed}
     assert "spectrum_interlacing" in failures
 
 
-def test_selftest_entropy_check_sees_a_scaled_column():
+def test_selftest_entropy_check_sees_a_scaled_column(monkeypatch):
     config = cli.RunConfig(n_modes=120)
     params = config.make_params()
     spec = dc.solve_spectrum(params)
@@ -313,7 +376,8 @@ def test_selftest_entropy_check_sees_a_scaled_column():
     entries = matrix.entries.copy()
     entries[:, 0] *= 1.001
     scaled = dataclasses.replace(matrix, entries=entries)
-    results = cli.selftest_checks(config, matrix_override=scaled)
+    monkeypatch.setattr(cli.modes, "build_matrix", lambda p, s: scaled)
+    results = cli.selftest_checks(config)
     failures = {r.name for r in results if not r.passed}
     assert {"entropy_flatness", "unitarity_rows"} <= failures
 
@@ -397,7 +461,7 @@ def test_non_finite_settings_exit_3_without_output(tmp_path, argv):
     [
         ("tol", 0.0),
         ("tol", -1e-8),
-        ("series_terms", 0),
+        ("xi_steps", 0),
         ("n_sweep", ()),
         ("n_sweep", (100, 0, 300)),
         ("tol", float("inf")),

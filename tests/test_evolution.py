@@ -158,6 +158,45 @@ def test_series_rejects_bad_inputs():
         )
 
 
+def _parent_first_order(params, t, k_terms):
+    """The series as written out before it became a mode sum of the
+    first-order spectrum and atom row: a e^{-i Omega_0 t} plus
+    a (4 delta/pi) sum_k k^{-2} e^{-i Omega_k t}."""
+    d = params.delta
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a = 1.0 / (1.0 + 2.0 * np.pi * d / 3.0)
+    k = np.arange(1, k_terms + 1, dtype=float)
+    omega_0 = params.omega_bar * (1.0 - np.pi * d / 3.0)
+    omega_k = (params.g / d) * (k + 2.0 * d / (np.pi * k))
+    z = evolution._phase_sum(omega_k, 1.0 / k**2, t)
+    return a * np.exp(-1j * t * omega_0) + a * (4.0 * d / np.pi) * z
+
+
+@pytest.mark.parametrize(
+    "g, delta", [(0.5, 0.025), (0.5, 0.05), (0.5, 0.1), (0.9, 0.2)]
+)
+@pytest.mark.parametrize("k_terms", [100, 1000])
+def test_series_matches_the_written_out_expression(g, delta, k_terms):
+    p = dc.make_params(1.0, g, delta=delta)
+    for size in (1, 2, 1001, 20001):
+        times = np.linspace(0.0, 100.0, size)
+        series = dc.small_cavity_amplitude_first_order(p, times, k_terms)
+        assert np.abs(series - _parent_first_order(p, times, k_terms)).max() < 1e-13
+
+
+def test_series_has_the_domain_of_the_approximate_spectrum():
+    refused = dc.make_params(1.0, 0.3, delta=0.1)  # delta >= 2 g^2/pi
+    with pytest.raises(ApproximationDomainError):
+        dc.approx_spectrum_small_cavity(refused)
+    with pytest.raises(ApproximationDomainError):
+        dc.small_cavity_amplitude_first_order(refused, 1.0, 100)
+    crude = dc.make_params(1.0, 1.5, delta=0.3)
+    with pytest.warns(UserWarning, match="crude"):
+        dc.approx_spectrum_small_cavity(crude)
+    with pytest.warns(UserWarning, match="crude"):
+        dc.small_cavity_amplitude_first_order(crude, 1.0, 100)
+
+
 def test_series_stays_above_bound_with_slack():
     p = dc.make_params(1.0, 0.5, delta=0.1)
     times = np.linspace(0.0, 100.0, 20001)
