@@ -33,9 +33,6 @@ from .modes import ModeMatrix, build_matrix
 from .params import SystemParams
 from .spectrum import Spectrum, solve_spectrum
 
-#: basis order of the two-atom reduced density matrix
-TWO_ATOM_BASIS = ("00", "01", "10", "11")
-
 _AMPLITUDE_SLACK = 1e-6   # |f| may exceed 1 by at most this much
 _EIGENVALUE_FLOOR = 1e-12  # eigenvalues below this are treated as exact zeros
 
@@ -83,11 +80,6 @@ class SingleAtomReducedDensity:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.elements)
-
-    def nonzero_eigenvalues(self) -> np.ndarray:
-        """The two structurally nonzero eigenvalues, ascending."""
-        eig = self.eigenvalues()
-        return eig[-2:]
 
 
 def _check_amplitude(name: str, f: complex) -> complex:

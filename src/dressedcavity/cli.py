@@ -37,7 +37,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import bipartite, evolution, freespace, modes, spectrum as spectrum_mod
-from .errors import CavityModelError, ConfigurationError, ValidationError
+from .errors import (
+    ApproximationDomainError,
+    CavityModelError,
+    ConfigurationError,
+    ValidationError,
+)
 from .output import svg_line_plot, write_csv
 from .params import REGIME_STRONG, SystemParams, make_params
 
@@ -196,7 +201,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     params = config.make_params()
     exact = spectrum_mod.solve_spectrum(params)
     try:
-        approx = spectrum_mod.approx_spectrum_small_cavity(params).omegas
+        approx = spectrum_mod.approx_spectrum_small_cavity(params)
     except CavityModelError:
         approx = np.full(params.n_modes + 1, np.nan)
     dw = params.delta_omega
@@ -402,7 +407,12 @@ class CheckResult:
 
 
 def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
-    """Run the invariant suite at the configured parameters."""
+    """Run the invariant suite at the configured parameters.
+
+    A comparison whose reference is undefined there (the free-space closed
+    form for g >= omega_bar, the lower bound above delta ~ 0.198) passes
+    with "not applicable" in its detail; the survival range is still checked.
+    """
     config = config or RunConfig()
     params = config.make_params()
     results: list[CheckResult] = []
@@ -500,14 +510,19 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
     def survival_range_and_bound():
         times = np.linspace(0.0, 100.0, 4001)
         surv = evolution.survival_probability(matrix, spec, times)
-        in_range = float(surv.min()) >= 0.0 and float(surv.max()) <= 1.0 + 1e-9
-        bound = evolution.small_cavity_lower_bound(params)
-        ok = in_range and float(surv.min()) >= bound - 0.01
-        return ok, f"min {float(surv.min()):.5f}, bound {bound:.5f}"
+        low = float(surv.min())
+        in_range = low >= 0.0 and float(surv.max()) <= 1.0 + 1e-9
+        try:
+            bound = evolution.small_cavity_lower_bound(params)
+        except ApproximationDomainError as exc:
+            return in_range, f"min {low:.5f}; bound not applicable: {exc}"
+        return in_range and low >= bound - 0.01, f"min {low:.5f}, bound {bound:.5f}"
 
     check("survival_range_and_bound", survival_range_and_bound)
 
     def freespace_consistency():
+        if params.regime == REGIME_STRONG:
+            return True, "not applicable: no closed form for g >= omega_bar"
         worst = 0.0
         for t in (0.5, 5.0, 12.0):
             numeric = freespace.freespace_f00_numeric(params, t, tol=1e-9)

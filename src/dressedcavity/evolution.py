@@ -228,7 +228,7 @@ def small_cavity_amplitude_first_order(
     if k_terms < 1:
         raise ApproximationDomainError("series needs at least one k term")
     model = replace(params, n_modes=k_terms)
-    omegas = approx_spectrum_small_cavity(model).omegas
+    omegas = approx_spectrum_small_cavity(model)
     t00_sq, tk0_sq = small_cavity_elements(model)
     return _phase_sum(omegas, np.concatenate(([t00_sq], tk0_sq)), t)
 

@@ -1,7 +1,10 @@
 """Orthonormal transformation between bare oscillators and normal modes.
 
 Rows are indexed by the bare degrees of freedom (row 0 is the atom, rows
-1..N the field modes), columns by the normal modes r = 0..N.  The closed
+1..N the field modes), columns by the normal modes r = 0..N, the solved
+roots of a ``spectrum.Spectrum``; the first-order small-cavity atom row,
+:func:`small_cavity_elements`, pairs with the plain frequency array of
+``spectrum.approx_spectrum_small_cavity`` instead.  The closed
 expressions for the entries are exact only in the untruncated theory; at
 finite N the assembled columns come out short of unit norm by O(1/N) and
 acquire O(1/N) mutual overlaps.  :func:`build_matrix` therefore rescales
@@ -38,7 +41,7 @@ from .errors import (
     NumericDomainError,
 )
 from .params import SystemParams
-from .spectrum import METHOD_EXACT, Spectrum
+from .spectrum import Spectrum
 
 #: |omega_k^2 - Omega_r^2| below this multiple of delta_omega^2 means a
 #: root landed on a bare frequency, which interlacing forbids.
@@ -64,10 +67,6 @@ class ModeMatrix:
     raw_column_norms: np.ndarray      # column norms before any correction
     raw_orthogonality_defect: float   # max |column dot| off the diagonal, raw
     orthogonalization_shift: float    # max |entry change| due to Loewdin step
-
-    @property
-    def n_modes(self) -> int:
-        return self.entries.shape[0] - 1
 
 
 def atom_element(params: SystemParams, omega_r):
@@ -148,10 +147,6 @@ def _rescaled_matrix(
     params: SystemParams, spectrum: Spectrum
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw matrix with every column scaled to unit norm, and the raw norms."""
-    if spectrum.method != METHOD_EXACT:
-        raise ConsistencyError(
-            f"the mode matrix needs an exact-root spectrum, got {spectrum.method!r}"
-        )
     rescaled = assemble_raw_matrix(params, spectrum)
     raw_norms = np.linalg.norm(rescaled, axis=0)
     rescaled /= raw_norms
@@ -209,7 +204,7 @@ def _polar_factor(x: np.ndarray, defect: np.ndarray) -> np.ndarray:
 def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     """Assemble, renormalize and orthogonalize the transformation matrix.
 
-    Requires an exact-root spectrum for the same parameters.  Column
+    Requires the solved spectrum of the same parameters.  Column
     rescaling restores the normalization sum over bare oscillators
     exactly; the Loewdin step then removes the residual O(1/N) column
     overlaps so that the propagated amplitudes conserve probability to

@@ -78,6 +78,8 @@ def svg_line_plot(
     ys = [y for _, _, sy in series for y in sy]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)

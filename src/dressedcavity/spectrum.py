@@ -9,7 +9,9 @@ There is exactly one root per cotangent branch: the left side falls from
 right side is continuous there, so safeguarded bisection inside each
 branch is an exhaustive and derivative-free solver.  Branches are indexed
 r = 0..n_modes; interlacing r*delta_omega < Omega_r < (r+1)*delta_omega
-holds for every root (branch 0 starts at 0).
+holds for every root (branch 0 starts at 0).  A :class:`Spectrum` holds
+these roots and their residuals only; the first-order small-cavity values
+of :func:`approx_spectrum_small_cavity` are a plain frequency array.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ import numpy as np
 
 from .errors import ApproximationDomainError, PoleProximityError, SpectrumSolverError
 from .params import SystemParams
-
-METHOD_EXACT = "exact_root"
-METHOD_SMALL_CAVITY = "small_cavity_approx"
 
 #: fraction of a branch width kept clear of each cotangent pole
 _POLE_INSET = 1e-9
@@ -45,12 +44,11 @@ class Spectrum:
 
     omegas: np.ndarray      # shape (n_modes+1,), strictly increasing
     residuals: np.ndarray   # shape (n_modes+1,), frequency units
-    method: str             # METHOD_EXACT or METHOD_SMALL_CAVITY
-    n_modes: int
-    delta_omega: float
 
-    def __len__(self) -> int:
-        return self.omegas.size
+    @property
+    def n_modes(self) -> int:
+        """Field modes the roots pair with: one root per branch 0..n_modes."""
+        return self.omegas.size - 1
 
 
 def eigenfrequency_mismatch(params: SystemParams, omega):
@@ -159,17 +157,11 @@ def solve_spectrum(params: SystemParams) -> Spectrum:
         branch = int(np.flatnonzero(~interior)[0])
         raise SpectrumSolverError(f"root escaped branch {branch}")
 
-    return Spectrum(
-        omegas=omegas,
-        residuals=residuals,
-        method=METHOD_EXACT,
-        n_modes=n,
-        delta_omega=dw,
-    )
+    return Spectrum(omegas=omegas, residuals=residuals)
 
 
-def approx_spectrum_small_cavity(params: SystemParams) -> Spectrum:
-    """First-order small-cavity frequencies.
+def approx_spectrum_small_cavity(params: SystemParams) -> np.ndarray:
+    """First-order small-cavity frequencies Omega_0..Omega_n_modes.
 
     Omega_0 = omega_bar*(1 - pi*delta/3) and, for k >= 1,
     Omega_k = (g/delta)*(k + 2*delta/(pi*k)).  Valid for delta well below
@@ -200,13 +192,7 @@ def approx_spectrum_small_cavity(params: SystemParams) -> Spectrum:
     omegas = np.empty(params.n_modes + 1)
     omegas[0] = params.omega_bar * (1.0 - np.pi * d / 3.0)
     omegas[1:] = (params.g / d) * (k + 2.0 * d / (np.pi * k))
-    return Spectrum(
-        omegas=omegas,
-        residuals=newton_residuals(params, omegas),
-        method=METHOD_SMALL_CAVITY,
-        n_modes=params.n_modes,
-        delta_omega=params.delta_omega,
-    )
+    return omegas
 
 
 def check_interlacing(params: SystemParams, spectrum: Spectrum) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -321,6 +322,17 @@ def test_cmd_figure2_deterministic(tmp_path):
         ).read_bytes()
 
 
+def test_cmd_figure2_single_point_svg_is_finite(tmp_path):
+    # one xi value: every x coordinate is equal, so the x span needs a guard
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["figure2", "--xi-steps", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    svg = (tmp_path / "figure2.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    ET.parse(tmp_path / "figure2.svg")
+
+
 def test_cmd_convergence(tmp_path):
     rc = cli.main(
         ["convergence", "--n-sweep", "60,120,240", "--out", str(tmp_path)]
@@ -355,13 +367,7 @@ def test_selftest_flags_injected_corruption(monkeypatch):
     spec = dc.solve_spectrum(params)
     bad = np.array(spec.omegas)
     bad[3] += params.delta_omega
-    corrupted = dc.Spectrum(
-        omegas=bad,
-        residuals=spec.residuals,
-        method=spec.method,
-        n_modes=spec.n_modes,
-        delta_omega=spec.delta_omega,
-    )
+    corrupted = dataclasses.replace(spec, omegas=bad)
     monkeypatch.setattr(cli.spectrum_mod, "solve_spectrum", lambda p: corrupted)
     results = cli.selftest_checks(config)
     failures = {r.name for r in results if not r.passed}
@@ -380,6 +386,49 @@ def test_selftest_entropy_check_sees_a_scaled_column(monkeypatch):
     results = cli.selftest_checks(config)
     failures = {r.name for r in results if not r.passed}
     assert {"entropy_flatness", "unitarity_rows"} <= failures
+
+
+# each setting lies outside the domain of one comparison of the suite
+NOT_APPLICABLE = [
+    (dict(g=1.5), "freespace_consistency", "no closed form"),
+    (dict(delta=0.3), "survival_range_and_bound", "bound not applicable"),
+]
+
+
+@pytest.mark.parametrize("settings, name, reason", NOT_APPLICABLE)
+def test_selftest_passes_where_a_comparison_does_not_apply(
+    settings, name, reason
+):
+    results = cli.selftest_checks(cli.RunConfig(n_modes=300, **settings))
+    assert [r.name for r in results if not r.passed] == []
+    (result,) = [r for r in results if r.name == name]
+    assert reason in result.detail
+
+
+@pytest.mark.parametrize("settings", [case[0] for case in NOT_APPLICABLE])
+def test_selftest_flags_corruption_where_a_comparison_does_not_apply(
+    monkeypatch, settings
+):
+    config = cli.RunConfig(n_modes=120, **settings)
+    params = config.make_params()
+    spec = dc.solve_spectrum(params)
+    matrix = dc.build_matrix(params, spec)
+    entries = matrix.entries.copy()
+    entries[:, 0] *= 1.001
+    scaled = dataclasses.replace(matrix, entries=entries)
+    monkeypatch.setattr(cli.modes, "build_matrix", lambda p, s: scaled)
+    failures = {r.name for r in cli.selftest_checks(config) if not r.passed}
+    # the survival range is checked even where the bound is undefined
+    assert {
+        "entropy_flatness", "unitarity_rows", "survival_range_and_bound"
+    } <= failures
+
+    bad = np.array(spec.omegas)
+    bad[3] += params.delta_omega
+    corrupted = dataclasses.replace(spec, omegas=bad)
+    monkeypatch.setattr(cli.spectrum_mod, "solve_spectrum", lambda p: corrupted)
+    failures = {r.name for r in cli.selftest_checks(config) if not r.passed}
+    assert "spectrum_interlacing" in failures
 
 
 def test_selftest_runs_the_dense_entropy_check_once_at_small_n(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,6 @@ def test_mismatch_pole_guard(baseline_params):
 
 
 def test_exact_roots_baseline(baseline_spectrum):
-    assert baseline_spectrum.method == dc.METHOD_EXACT
     assert baseline_spectrum.omegas[0] == pytest.approx(OMEGA0_EXACT, abs=1e-11)
     assert baseline_spectrum.omegas[1] == pytest.approx(OMEGA1_EXACT, abs=1e-11)
     assert baseline_spectrum.omegas[2] == pytest.approx(OMEGA2_EXACT, abs=1e-11)
@@ -67,8 +68,10 @@ def test_roots_strictly_increasing_and_interlaced(
     assert dc.check_interlacing(baseline_params, baseline_spectrum)
 
 
-def test_high_mode_frequencies_approach_bare_grid(baseline_spectrum):
-    dw = baseline_spectrum.delta_omega
+def test_high_mode_frequencies_approach_bare_grid(
+    baseline_params, baseline_spectrum
+):
+    dw = baseline_params.delta_omega
     k = np.arange(100, 1001)
     ratio = baseline_spectrum.omegas[k] / (k * dw)
     assert np.all(ratio > 1.0)
@@ -81,31 +84,34 @@ def test_high_mode_frequencies_approach_bare_grid(baseline_spectrum):
 def test_interlacing_checker_spots_corruption(baseline_params, baseline_spectrum):
     bad = np.array(baseline_spectrum.omegas)
     bad[5] += baseline_params.delta_omega  # push the root out of its branch
-    corrupted = dc.Spectrum(
-        omegas=bad,
-        residuals=baseline_spectrum.residuals,
-        method=baseline_spectrum.method,
-        n_modes=baseline_spectrum.n_modes,
-        delta_omega=baseline_spectrum.delta_omega,
-    )
+    corrupted = dataclasses.replace(baseline_spectrum, omegas=bad)
     assert not dc.check_interlacing(baseline_params, corrupted)
 
 
 def test_small_cavity_approximation_values():
     p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=10)
     approx = dc.approx_spectrum_small_cavity(p)
-    assert approx.method == dc.METHOD_SMALL_CAVITY
-    assert approx.omegas[0] == pytest.approx(OMEGA0_FIRST_ORDER, abs=1e-14)
-    assert approx.omegas[1] == pytest.approx(5.3183098861837907, abs=1e-13)
-    assert approx.omegas[2] == pytest.approx(10.159154943091895, abs=1e-13)
+    assert isinstance(approx, np.ndarray) and approx.shape == (11,)
+    assert approx[0] == pytest.approx(OMEGA0_FIRST_ORDER, abs=1e-14)
+    assert approx[1] == pytest.approx(5.3183098861837907, abs=1e-13)
+    assert approx[2] == pytest.approx(10.159154943091895, abs=1e-13)
+
+
+def test_small_cavity_approximation_solves_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        dc.spectrum, "newton_residuals", lambda *args: calls.append(args)
+    )
+    dc.approx_spectrum_small_cavity(dc.make_params(1.0, 0.5, delta=0.1, n_modes=10))
+    assert calls == []
 
 
 def test_small_cavity_decoupling_limit():
     p = dc.make_params(1.0, 0.5, delta=1e-4, n_modes=5)
     approx = dc.approx_spectrum_small_cavity(p)
-    assert approx.omegas[0] == pytest.approx(1.0, abs=2e-4)
+    assert approx[0] == pytest.approx(1.0, abs=2e-4)
     k = np.arange(1, 6)
-    assert approx.omegas[1:] == pytest.approx(k * p.delta_omega, rel=1e-4)
+    assert approx[1:] == pytest.approx(k * p.delta_omega, rel=1e-4)
 
 
 def test_small_cavity_validity_guards():
@@ -134,7 +140,7 @@ def test_approximation_error_shrinks_with_delta_at_fixed_spacing():
         p = dc.make_params(0.8, g, delta=delta, n_modes=10)
         exact = dc.solve_spectrum(p)
         approx = dc.approx_spectrum_small_cavity(p)
-        gaps.append(float(np.abs(exact.omegas - approx.omegas).max()))
+        gaps.append(float(np.abs(exact.omegas - approx).max()))
     assert gaps[0] / gaps[1] >= 3.0
     assert gaps[1] / gaps[2] >= 3.0
 
