@@ -9,15 +9,19 @@ figure2      entanglement entropy as a function of the weight xi
 convergence  truncation-defect report across a sweep of mode counts
 selftest     run the invariant suite at baseline parameters
 
-The commands compute through the library: f_00 by
-``evolution.atom_amplitude``, figure1's survival from the atom row alone
-by ``modes.atom_row`` and ``evolution.survival_from_row``, sum_nu
-|f_0_nu|^2 by ``evolution.row_norms``, impurity by
+The commands compute through the library: the atom row T[0, :] by
+``modes.atom_row``, with no (N+1)^2 mode matrix, then evolve's f_00 by
+``evolution.atom_amplitude`` and figure1's survival by
+``evolution.survival_from_row``; impurity by
 ``bipartite.population_impurity`` and entropy by
-``bipartite.rank_two_entropy``.  The selftest takes its entropy at the
-configured N from that rank-2 spectrum too, and runs the dense
-eigensolver verifier ``bipartite.entropy_time_independence_check`` at
-N <= 100 only.
+``bipartite.rank_two_entropy``.  Evolve's entropy takes
+s = sum_nu |f_0_nu(t)|^2 as sum_s T[0, s]^2 at every t, which it equals
+for the orthogonal repaired T (T^T T = I, |exp(-i Omega_s t)| = 1).
+The full matrix of ``modes.build_matrix`` is formed only by
+``spectrum --dump-matrix``, ``convergence`` and ``selftest``; the last two
+check that identity time by time with ``evolution.row_norms``, and the
+selftest also runs the dense eigensolver verifier
+``bipartite.entropy_time_independence_check`` at N <= 100 only.
 
 Configuration is a flat key=value file plus per-key command-line
 overrides; flag names mirror the keys and parse alike (``_parse_value``).
@@ -254,9 +258,10 @@ def cmd_evolve(config: RunConfig) -> int:
     else:
         if config.mode == "small_cavity_exact":
             spec = spectrum_mod.solve_spectrum(params)
-            matrix = modes.build_matrix(params, spec)
-            f00 = evolution.atom_amplitude(matrix, spec, times)
-            sums = evolution.row_norms(matrix.entries, spec.omegas, 0, times)
+            row = modes.atom_row(params, spec)
+            f00 = evolution.atom_amplitude(row, spec, times)
+            # sum_nu |f_0_nu(t)|^2 of the orthogonal T is sum_s T[0, s]^2
+            sums = np.full(times.size, np.sum(row**2))
             entropies = bipartite.rank_two_entropy(config.xi, sums)
         elif config.mode == "small_cavity_series":
             f00 = evolution.small_cavity_amplitude_first_order(

@@ -25,10 +25,18 @@ which is the direct sum through the same code.  Temporaries hold
 O((B + ``_TIME_CHUNK``) (N+1)) phases whatever the length of the grid.
 
 The atom's own amplitude f_00 needs only the atom row T[0, :]:
-:func:`survival_from_row` takes it from ``modes.atom_row`` with no mode
-matrix, and :func:`atom_amplitude` and :func:`survival_probability` take
-row 0 of a matrix through the same sum, as does the first-order series
-:func:`small_cavity_amplitude_first_order` with first-order Omega_s and row.
+:func:`atom_amplitude` is its mode sum, and :func:`survival_from_row` its
+squared modulus, for the row of ``modes.atom_row`` with no mode matrix;
+:func:`survival_probability` passes row 0 of a matrix to the same sum, as
+the first-order series :func:`small_cavity_amplitude_first_order` passes
+its first-order Omega_s and row to ``_phase_sum``.
+
+The row also fixes the two-atom entropy.  Its time dependence enters
+through s(t) = sum_nu |f_0_nu(t)|^2 = sum_s T[0, s]^2 |exp(-i Omega_s t)|^2
+when T^T T = I, so for the orthogonal repaired matrix s(t) is the constant
+sum_s T[0, s]^2 in exact arithmetic.  ``cli evolve`` takes that constant;
+:func:`row_norms` keeps the time-resolved sum over every nu as the dense
+check of the identity (``cli selftest``, ``unitarity_defect``).
 
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 """
@@ -135,8 +143,9 @@ def amplitude_row(
     return matrix.entries @ phased
 
 
-def _row_amplitude(row: np.ndarray, spectrum: Spectrum, t) -> np.ndarray:
-    """f_00(t) = sum_s row[s]^2 exp(-i Omega_s t) from the atom row alone."""
+def atom_amplitude(row: np.ndarray, spectrum: Spectrum, t) -> np.ndarray:
+    """Complex f_00(t) = sum_s row[s]^2 exp(-i Omega_s t) on a scalar or grid
+    of times, from the atom row T[0, :] alone (``modes.atom_row``)."""
     if row.shape != spectrum.omegas.shape:
         raise ConsistencyError(
             f"atom row has {row.size} entries but spectrum has "
@@ -150,13 +159,8 @@ def survival_from_row(row: np.ndarray, spectrum: Spectrum, t):
 
     A float for a scalar t, an array for any grid.
     """
-    out = np.abs(_row_amplitude(row, spectrum, t)) ** 2
+    out = np.abs(atom_amplitude(row, spectrum, t)) ** 2
     return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def atom_amplitude(matrix: ModeMatrix, spectrum: Spectrum, t) -> np.ndarray:
-    """Complex f_00(t) on a scalar or grid of times (vectorized mode sum)."""
-    return _row_amplitude(matrix.entries[0], spectrum, t)
 
 
 def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):

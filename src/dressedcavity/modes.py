@@ -54,6 +54,9 @@ _POLAR_MAX_STEPS = 50
 
 _ROUNDOFF = float(np.finfo(float).eps)
 
+#: rows per block of the column norms' squares
+_NORM_ROWS = 32
+
 #: successive Lanczos estimates of the atom row that agree to this many
 #: ulps of its largest entry end the iteration
 _LANCZOS_ULPS = 4
@@ -119,8 +122,9 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     The field rows are filled in place: omega_k^2 - Omega_r^2, then
     eta*omega_k divided by it, then times the atom row.  These are the
     operations of the entry formula in its order, so the result is the
-    same to the bit, and the only other (N+1)^2 array is the resonance
-    check's |omega_k^2 - Omega_r^2|.
+    same to the bit, and no other (N+1)^2 array is formed: the resonance
+    check reads each root's distance at its nearest bare frequencies only
+    (:func:`_nearest_resonance`).
     """
     if spectrum.n_modes != params.n_modes:
         raise ConsistencyError(
@@ -130,17 +134,53 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     omegas = spectrum.omegas
     atom_row = atom_element(params, omegas)
     omega_k = params.field_frequencies()
-    t = np.empty((params.n_modes + 1, params.n_modes + 1))
-    t[0, :] = atom_row
-    field = t[1:]
-    np.subtract.outer(omega_k**2, omegas**2, out=field)
-    if np.abs(field).min() < _RESONANCE_FLOOR * params.delta_omega**2:
+    field_sq, roots_sq = omega_k**2, omegas**2
+    if _nearest_resonance(field_sq, roots_sq) < (
+        _RESONANCE_FLOOR * params.delta_omega**2
+    ):
         raise NearResonanceError(
             "normal mode coincides with a bare field frequency"
         )
+    t = np.empty((params.n_modes + 1, params.n_modes + 1))
+    t[0, :] = atom_row
+    field = t[1:]
+    np.subtract.outer(field_sq, roots_sq, out=field)
     np.divide((params.eta * omega_k)[:, None], field, out=field)
     field *= atom_row
     return t
+
+
+def _nearest_resonance(field_sq: np.ndarray, roots_sq: np.ndarray) -> float:
+    """min over k, r of |field_sq[k] - roots_sq[r]| for increasing ``field_sq``.
+
+    The rounded difference never decreases as field_sq[k] grows, so for
+    each root the minimum over k sits at one of the two bare frequencies
+    that bracket it: the same value as the minimum over the whole
+    (N x (N+1)) table, from O(N log N) work.  A NaN root gives NaN, as
+    it does in the table.
+    """
+    i = np.searchsorted(field_sq, roots_sq)
+    below = np.abs(field_sq[np.maximum(i - 1, 0)] - roots_sq).min()
+    above = np.abs(field_sq[np.minimum(i, field_sq.size - 1)] - roots_sq).min()
+    return float(min(below, above))
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=0)`` to the bit, without an (N+1)^2 temporary.
+
+    That norm adds the squares of each column in row order.  Here they are
+    added ``_NORM_ROWS`` rows at a time, with the running sums carried in
+    as the first row of each block, so the additions and their order are
+    the same; contiguous rows also make it faster than the unblocked form.
+    """
+    squares = np.empty((_NORM_ROWS + 1, x.shape[1]))
+    sums = np.zeros(x.shape[1])
+    for start in range(0, x.shape[0], _NORM_ROWS):
+        block = x[start : start + _NORM_ROWS]
+        squares[0] = sums
+        np.multiply(block, block, out=squares[1 : block.shape[0] + 1])
+        np.add.reduce(squares[: block.shape[0] + 1], axis=0, out=sums)
+    return np.sqrt(sums)
 
 
 def _rescaled_matrix(
@@ -148,7 +188,7 @@ def _rescaled_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw matrix with every column scaled to unit norm, and the raw norms."""
     rescaled = assemble_raw_matrix(params, spectrum)
-    raw_norms = np.linalg.norm(rescaled, axis=0)
+    raw_norms = _column_norms(rescaled)
     rescaled /= raw_norms
     return rescaled, raw_norms
 

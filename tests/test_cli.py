@@ -163,6 +163,52 @@ def test_cmd_evolve_exact(tmp_path):
     assert rows[:, 1] ** 2 + rows[:, 2] ** 2 == pytest.approx(rows[:, 3], abs=1e-12)
 
 
+def matrix_path_evolve(argv):
+    """evolve's f00 and entropy columns from the full mode matrix."""
+    config = cli.merge_config(cli.build_parser().parse_args(argv))
+    params = config.make_params()
+    spec = dc.solve_spectrum(params)
+    matrix = dc.build_matrix(params, spec)
+    times = config.time_grid()
+    f00 = dc.atom_amplitude(matrix.entries[0], spec, times)
+    sums = dc.row_norms(matrix.entries, spec.omegas, 0, times)
+    return f00, dc.rank_two_entropy(config.xi, sums)
+
+
+# (g, delta, n_modes, tolerance of the f00 columns); delta = 1000 is an
+# inadequate truncation, inside atom_row's 1e-12 agreement only
+EVOLVE_EXACT_CASES = [
+    (g, delta, 300, 1e-13) for g in (0.5, 1.5) for delta in (1e-3, 0.1, 3.0, 30.0)
+] + [(g, 1000.0, 150, 1e-12) for g in (0.5, 1.5)]
+
+
+@pytest.mark.parametrize("g, delta, n, tol", EVOLVE_EXACT_CASES)
+def test_cmd_evolve_exact_takes_the_atom_row_without_the_mode_matrix(
+    tmp_path, monkeypatch, g, delta, n, tol
+):
+    argv = ["evolve", "--g", repr(g), "--delta", repr(delta),
+            "--n-modes", str(n), "--xi", "0.3"]
+    calls = []
+    for module, name in ((dc.modes, "build_matrix"), (dc.evolution, "row_norms")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *a, name=name, original=original: (
+                calls.append(name) or original(*a)
+            ),
+        )
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert calls == []
+    monkeypatch.undo()
+
+    f00, entropy = matrix_path_evolve(argv)
+    _, rows = read_csv(tmp_path / "evolve.csv")
+    assert np.abs(rows[:, 1] - f00.real).max() <= tol
+    assert np.abs(rows[:, 2] - f00.imag).max() <= tol
+    assert np.abs(rows[:, 3] - np.abs(f00) ** 2).max() <= tol
+    assert np.abs(rows[:, 5] - entropy).max() <= 1e-13
+
+
 @pytest.mark.parametrize(
     "mode", ["small_cavity_series", "free_space_closed", "free_space_numeric"]
 )

@@ -60,7 +60,7 @@ def test_survival_matches_amplitude(small_matrix, small_spectrum):
     scalar = dc.survival_probability(small_matrix, small_spectrum, t)
     f00 = dc.amplitude(small_matrix, small_spectrum, 0, 0, t)
     assert scalar == pytest.approx(abs(f00) ** 2, abs=1e-14)
-    (grid_f00,) = dc.atom_amplitude(small_matrix, small_spectrum, t)
+    (grid_f00,) = dc.atom_amplitude(small_matrix.entries[0], small_spectrum, t)
     assert grid_f00 == pytest.approx(f00, abs=1e-14)
 
 
@@ -80,7 +80,7 @@ def test_survival_from_row_rejects_a_row_of_another_size(
     with pytest.raises(ConsistencyError):
         dc.survival_from_row(small_matrix.entries[0], baseline_spectrum, 1.0)
     with pytest.raises(ConsistencyError):
-        dc.atom_amplitude(small_matrix, baseline_spectrum, 1.0)
+        dc.atom_amplitude(small_matrix.entries[0], baseline_spectrum, 1.0)
 
 
 @pytest.mark.parametrize("n_modes", [1, 30, 1000])

@@ -205,10 +205,40 @@ def test_assemble_raw_matrix_in_place_is_bitwise_the_entry_formula(n):
 
 def test_assemble_raw_matrix_checks_every_entry_for_resonance(small_params):
     spec = dc.solve_spectrum(small_params)
-    omegas = np.array(spec.omegas)
-    omegas[-1] = small_params.field_frequencies()[-1]
-    with pytest.raises(NearResonanceError):
-        dc.assemble_raw_matrix(small_params, replace(spec, omegas=omegas))
+    for root, mode in [(-1, -1), (0, 0), (7, 3), (2, -1)]:
+        omegas = np.array(spec.omegas)
+        omegas[root] = small_params.field_frequencies()[mode]
+        with pytest.raises(NearResonanceError):
+            dc.assemble_raw_matrix(small_params, replace(spec, omegas=omegas))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300])
+def test_nearest_resonance_is_the_minimum_over_the_whole_table(n):
+    # unsorted roots below, between, on and above the bare frequencies
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    field_sq = p.field_frequencies() ** 2
+    rng = np.random.default_rng(n)
+    roots = rng.uniform(0.0, (n + 2) * p.delta_omega, 4 * n + 4)
+    roots[:2] = p.field_frequencies()[[0, -1]] * (1.0 + 1e-15)
+    roots_sq = roots**2
+    table = np.abs(np.subtract.outer(field_sq, roots_sq)).min()
+    assert dc.modes._nearest_resonance(field_sq, roots_sq) == table
+    roots_sq[-1] = np.nan
+    assert np.isnan(dc.modes._nearest_resonance(field_sq, roots_sq))
+
+
+@pytest.mark.parametrize("n", [1, 30, 31, 32, 300, 1600])
+def test_column_norms_are_bitwise_the_unblocked_norm(n):
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    x = dc.assemble_raw_matrix(p, spec)
+    reference = np.linalg.norm(x, axis=0)
+    assert np.array_equal(dc.modes._column_norms(x), reference)
+    assert np.array_equal(dc.build_matrix(p, spec).raw_column_norms, reference)
+    wide = np.random.default_rng(n).standard_normal((n + 1, 3 * n + 2))
+    assert np.array_equal(
+        dc.modes._column_norms(wide), np.linalg.norm(wide, axis=0)
+    )
 
 
 @pytest.mark.parametrize("delta", [1e-3, 0.1, 3.0, 1000.0])
@@ -243,9 +273,11 @@ def test_atom_row_rejects_mismatched_spectrum(small_params, baseline_spectrum):
         dc.atom_row(small_params, baseline_spectrum)
 
 
-def test_atom_row_peak_memory_is_two_matrices():
-    # X and the column norm's squares; build_matrix holds four at its peak.
-    # The slack of 16 length-(N+1) vectors covers the spectrum-sized arrays.
+def test_atom_row_peak_memory_is_one_matrix():
+    # X alone; build_matrix holds four at its peak.  The slack of 64
+    # length-(N+1) vectors covers the 32-row Lanczos basis, the 33-row
+    # block of the column norms' squares (held at different times) and
+    # the spectrum-sized arrays.
     n = 3000
     p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
     spec = dc.solve_spectrum(p)
@@ -256,7 +288,7 @@ def test_atom_row_peak_memory_is_two_matrices():
     finally:
         tracemalloc.stop()
     assert row.shape == (n + 1,)
-    assert peak <= 2 * 8 * (n + 1) ** 2 + 16 * 8 * (n + 1)
+    assert peak <= 8 * (n + 1) ** 2 + 64 * 8 * (n + 1)
 
 
 def test_build_matrix_rejects_mismatched_sizes(small_params, baseline_spectrum):
