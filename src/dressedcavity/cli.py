@@ -7,7 +7,7 @@ evolve       time series of f_00, impurity and entropy for one mode
 figure1      impurity overlay, small cavity vs free space
 figure2      entanglement entropy as a function of the weight xi
 convergence  truncation-defect report across a sweep of mode counts
-selftest     run the invariant suite at baseline parameters
+selftest     run the invariant suite at the configured parameters
 
 The commands compute through the library: the atom row T[0, :] by
 ``modes.atom_row``, with no (N+1)^2 mode matrix, then evolve's f_00 by
@@ -25,6 +25,8 @@ selftest also runs the dense eigensolver verifier
 
 Configuration is a flat key=value file plus per-key command-line
 overrides; flag names mirror the keys and parse alike (``_parse_value``).
+The cavity enters through the one number delta = g R/(pi c): a cavity of
+radius R at wave speed c is ``--delta`` g R/(pi c).
 Exit codes: 0 success, 1 invariant failure, 2 I/O failure or a command
 line that argparse rejected, 3 violated precondition.
 """
@@ -71,9 +73,7 @@ class RunConfig:
 
     omega_bar: float = 1.0
     g: float = 0.5
-    c: float = 1.0
-    delta: Optional[float] = 0.1
-    radius: Optional[float] = None
+    delta: float = 0.1
     n_modes: int = 1000
     xi: float = 0.5
     mode: str = "small_cavity_exact"
@@ -109,15 +109,11 @@ class RunConfig:
             raise ValidationError("n_sweep must list at least one mode count")
         if min(self.n_sweep) < 1:
             raise ValidationError("every n_sweep entry must be at least 1")
-        if self.radius is not None and self.delta is not None:
-            raise ConfigurationError("supply only one of radius and delta")
 
     def make_params(self, n_modes: Optional[int] = None) -> SystemParams:
         return make_params(
             self.omega_bar,
             self.g,
-            self.c,
-            radius=self.radius,
             delta=self.delta,
             n_modes=n_modes if n_modes is not None else self.n_modes,
         )
@@ -137,7 +133,6 @@ def _boolean(raw: str) -> bool:
 # parser of each RunConfig annotation (a string under postponed evaluation)
 _PARSERS = {
     "float": float,
-    "Optional[float]": lambda s: None if s.lower() in ("none", "") else float(s),
     "int": int,
     "str": str,
     "tuple": lambda s: tuple(int(part) for part in s.split(",") if part.strip()),
@@ -182,13 +177,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     flag_values = {
         f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args
     }
-    config = RunConfig()
-    for values in (file_values, flag_values):
-        # a radius set by this layer displaces a delta from the layers below;
-        # one that sets both is rejected by validate()
-        if values.get("radius") is not None and "delta" not in values:
-            values = {**values, "delta": None}
-        config = replace(config, **values)
+    config = replace(RunConfig(), **{**file_values, **flag_values})
     config.validate()
     return config
 
@@ -268,7 +257,7 @@ def cmd_evolve(config: RunConfig) -> int:
                 params, times, params.n_modes
             )
         elif config.mode == "free_space_closed":
-            f00 = freespace.freespace_f00_closed(params, times, tol=config.tol)
+            f00 = freespace.freespace_f00_closed(params, times)
         else:
             f00 = _freespace_numeric(params, times, config.tol)
         abs2 = np.abs(f00) ** 2
@@ -295,7 +284,7 @@ def cmd_figure1(config: RunConfig) -> int:
     if params.regime == REGIME_STRONG:  # no closed form for g >= omega_bar
         free = _freespace_numeric(params, times, config.tol)
     else:
-        free = freespace.freespace_f00_closed(params, times, tol=config.tol)
+        free = freespace.freespace_f00_closed(params, times)
     d_free = bipartite.population_impurity(np.abs(free) ** 2)
 
     write_csv(
@@ -353,8 +342,8 @@ def cmd_convergence(config: RunConfig) -> int:
     check_times = (0.0, 1.0, 10.0)
     lines = [
         "truncation convergence report",
-        f"omega_bar={config.omega_bar} g={config.g} c={config.c} "
-        f"delta={config.delta} radius={config.radius} xi={config.xi}",
+        f"omega_bar={config.omega_bar} g={config.g} delta={config.delta} "
+        f"xi={config.xi}",
         "",
         "N, raw_col0_norm_defect, raw_orthogonality_defect, raw_unitarity_defect,"
         " unitarity_defect, entropy_std",
@@ -531,7 +520,7 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
         worst = 0.0
         for t in (0.5, 5.0, 12.0):
             numeric = freespace.freespace_f00_numeric(params, t, tol=1e-9)
-            closed = freespace.freespace_f00_closed(params, t, tol=1e-9)
+            closed = freespace.freespace_f00_closed(params, t)
             worst = max(worst, abs(numeric - closed))
         return worst < 1e-6, f"max |numeric - closed| {worst:.2e}"
 
@@ -645,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("convergence", "truncation-defect report over a mode-count sweep"),
         ("selftest", "run the invariant suite; exit 0 only if all pass"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # no prefix matching: a removed flag such as --c must not read as --config
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value configuration file")
         for f in fields(RunConfig):
             p.add_argument(

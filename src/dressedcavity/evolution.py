@@ -44,7 +44,6 @@ Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -120,24 +119,13 @@ def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     return sums.ravel()[: times.size]
 
 
-def amplitude(
-    matrix: ModeMatrix, spectrum: Spectrum, mu: int, nu: int, t: float
-) -> complex:
-    """Single amplitude f_mu_nu(t).
-
-    Defined for t >= 0; negative t is accepted and satisfies the
-    conjugation symmetry f_mu_nu(-t) = conj(f_mu_nu(t)).
-    """
-    _check_pair(matrix, spectrum)
-    row_mu = matrix.entries[mu]
-    row_nu = matrix.entries[nu]
-    return complex(np.sum(row_mu * row_nu * np.exp(-1j * spectrum.omegas * t)))
-
-
 def amplitude_row(
     matrix: ModeMatrix, spectrum: Spectrum, mu: int, t: float
 ) -> np.ndarray:
-    """All amplitudes f_mu_nu(t) for nu = 0..N as a complex vector."""
+    """All amplitudes f_mu_nu(t) for nu = 0..N as a complex vector.
+
+    Negative t is accepted: f_mu_nu(-t) = conj(f_mu_nu(t)).
+    """
     _check_pair(matrix, spectrum)
     phased = matrix.entries[mu] * np.exp(-1j * spectrum.omegas * t)
     return matrix.entries @ phased
@@ -206,14 +194,11 @@ class SmallCavitySeries:
     """Survival probability from the first-order double series.
 
     ``tail_bound`` is the first-order bound (8*delta/pi)/k_terms on the
-    truncated part of the k sum; ``converged`` reports whether it met the
-    requested tolerance (None when no tolerance was requested).
+    truncated part of the k sum.
     """
 
     values: np.ndarray
-    k_terms: int
     tail_bound: float
-    converged: Optional[bool]
 
 
 def small_cavity_amplitude_first_order(
@@ -238,10 +223,7 @@ def small_cavity_amplitude_first_order(
 
 
 def survival_probability_small_cavity_series(
-    params: SystemParams,
-    t,
-    k_terms: int = 1000,
-    tol: Optional[float] = None,
+    params: SystemParams, t, k_terms: int = 1000
 ) -> SmallCavitySeries:
     """Small-cavity survival |f_00(t)|^2 to first order in delta.
 
@@ -253,12 +235,8 @@ def survival_probability_small_cavity_series(
     better conditioning.
     """
     f = small_cavity_amplitude_first_order(params, t, k_terms)
-    tail = (8.0 * params.delta / np.pi) / k_terms
     return SmallCavitySeries(
-        values=np.abs(f) ** 2,
-        k_terms=k_terms,
-        tail_bound=tail,
-        converged=None if tol is None else bool(tail <= tol),
+        values=np.abs(f) ** 2, tail_bound=(8.0 * params.delta / np.pi) / k_terms
     )
 
 

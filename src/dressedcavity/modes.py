@@ -94,36 +94,16 @@ def atom_element(params: SystemParams, omega_r):
     return value if value.ndim else float(value)
 
 
-def field_element(params: SystemParams, omega_r, k):
-    """Field-row entry: eta*omega_k/(omega_k^2 - Omega_r^2) * atom_element.
-
-    ``k`` indexes the bare field mode (1..N).  Interlacing keeps
-    omega_k^2 - Omega_r^2 bounded away from zero; a near-zero denominator
-    is reported as :class:`NearResonanceError` because it means the
-    supplied root violates interlacing.
-    """
-    omega_r = np.asarray(omega_r, dtype=float)
-    k = np.asarray(k)
-    if np.any(k < 1) or np.any(k != np.floor(k)):
-        raise ConsistencyError("field index k must be a positive integer")
-    omega_k = params.delta_omega * k.astype(float)
-    denom = omega_k**2 - omega_r**2
-    if np.any(np.abs(denom) < _RESONANCE_FLOOR * params.delta_omega**2):
-        raise NearResonanceError(
-            "normal mode coincides with a bare field frequency"
-        )
-    value = (params.eta * omega_k / denom) * atom_element(params, omega_r)
-    return value if value.ndim else float(value)
-
-
 def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     """Matrix of closed-form entries with no normalization applied.
 
-    The field rows are filled in place: omega_k^2 - Omega_r^2, then
-    eta*omega_k divided by it, then times the atom row.  These are the
-    operations of the entry formula in its order, so the result is the
-    same to the bit, and no other (N+1)^2 array is formed: the resonance
-    check reads each root's distance at its nearest bare frequencies only
+    Row 0 is :func:`atom_element`; field row k (k = 1..N) is
+    eta*omega_k/(omega_k^2 - Omega_r^2) times it.  Interlacing keeps
+    omega_k^2 - Omega_r^2 bounded away from zero, so a near-zero
+    denominator means a root that violates interlacing and raises
+    :class:`NearResonanceError`.  The field rows are filled in place and
+    no other (N+1)^2 array is formed: the resonance check reads each
+    root's distance at its nearest bare frequencies only
     (:func:`_nearest_resonance`).
     """
     if spectrum.n_modes != params.n_modes:

@@ -56,23 +56,27 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_n_sweep_flag_and_file_parse_alike(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n_sweep = 100,300,\nradius = 5\ndelta = none\n")
+    cfg_file.write_text("n_sweep = 100,300,\n")
     parser = cli.build_parser()
     from_file = cli.merge_config(
         parser.parse_args(["convergence", "--config", str(cfg_file)])
     )
     from_flag = cli.merge_config(
-        parser.parse_args(
-            ["convergence", "--n-sweep", "100,300,", "--radius", "5", "--delta", "none"]
-        )
+        parser.parse_args(["convergence", "--n-sweep", "100,300,"])
     )
     assert from_file.n_sweep == from_flag.n_sweep == (100, 300)
     assert from_file == from_flag
-    assert from_flag.delta is None and from_flag.radius == 5.0
 
 
 @pytest.mark.parametrize(
-    "line", ["g = abc", "n_modes = 1.5", "n_sweep = 100,x", "dump_matrix = maybe"]
+    "line",
+    [
+        "g = abc",
+        "n_modes = 1.5",
+        "n_sweep = 100,x",
+        "dump_matrix = maybe",
+        "delta = none",
+    ],
 )
 def test_config_file_bad_value_names_line_and_key(tmp_path, capsys, line):
     cfg_file = tmp_path / "run.cfg"
@@ -85,7 +89,8 @@ def test_config_file_bad_value_names_line_and_key(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--g", "abc"], ["--n-modes", "1.5"], ["--n-sweep", "100,x"]]
+    "argv",
+    [["--g", "abc"], ["--n-modes", "1.5"], ["--n-sweep", "100,x"], ["--delta", "none"]],
 )
 def test_bad_flag_value_is_an_argparse_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -102,13 +107,33 @@ def test_phi_is_not_a_setting(tmp_path):
     assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
 
 
-def test_radius_flag_displaces_default_delta(tmp_path):
+@pytest.mark.parametrize("key, value", [("radius", "5"), ("c", "2")])
+def test_cavity_is_set_by_delta_alone(tmp_path, key, value):
+    # a flag that names a removed setting is not read as a prefix of another
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", f"--{key}", value])
+    assert exc.value.code == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+        cli.load_config_file(str(cfg_file))
+    assert cli.main(["spectrum", "--config", str(cfg_file)]) == 3
+
+
+def test_a_cavity_radius_is_a_delta():
+    # radius R at wave speed c: the same roots and atom row as delta = g R/(pi c)
+    g, radius, c = 0.4, 2.0, 3.0
     args = cli.build_parser().parse_args(
-        ["spectrum", "--radius", "0.62831853071795865", "--out", str(tmp_path)]
+        ["spectrum", "--g", repr(g), "--delta", repr(g * radius / (np.pi * c))]
     )
-    config = cli.merge_config(args)
-    params = config.make_params()
-    assert params.delta == pytest.approx(0.1, rel=1e-14)
+    from_delta = cli.merge_config(args).make_params(n_modes=300)
+    from_radius = dc.make_params(1.0, g, c, radius=radius, n_modes=300)
+    spec_delta = dc.solve_spectrum(from_delta)
+    spec_radius = dc.solve_spectrum(from_radius)
+    assert np.allclose(spec_delta.omegas, spec_radius.omegas, rtol=1e-13, atol=0)
+    row_delta = dc.atom_row(from_delta, spec_delta)
+    row_radius = dc.atom_row(from_radius, spec_radius)
+    assert np.abs(row_delta - row_radius).max() <= 1e-12
 
 
 def test_cmd_spectrum_output(tmp_path):
@@ -387,7 +412,7 @@ def test_cmd_convergence(tmp_path):
     text = (tmp_path / "convergence.txt").read_text()
     assert "non-increasing" in text
     assert "WARNING" not in text
-    assert "delta=0.1" in text
+    assert text.splitlines()[1] == "omega_bar=1.0 g=0.5 delta=0.1 xi=0.5"
     table = [
         line for line in text.splitlines() if line and line[0].isdigit()
     ]
@@ -569,21 +594,3 @@ def test_validate_rejects_bad_numeric_settings(field, value):
     config = cli.RunConfig(**{field: value})
     with pytest.raises(ValidationError, match=field):
         config.validate()
-
-
-def test_config_file_with_radius_and_delta_rejected(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("radius = 5\ndelta = 0.1\n")
-    args = cli.build_parser().parse_args(["spectrum", "--config", str(cfg_file)])
-    with pytest.raises(ConfigurationError):
-        cli.merge_config(args)
-    assert cli.main(["spectrum", "--config", str(cfg_file)]) == 3
-
-
-def test_config_file_radius_displaces_default_delta(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("radius = 5\n")
-    args = cli.build_parser().parse_args(["spectrum", "--config", str(cfg_file)])
-    config = cli.merge_config(args)
-    assert config.delta is None
-    assert config.make_params().radius == 5.0
