@@ -18,7 +18,8 @@ class ValidationError(CavityModelError):
 
 
 class ConfigurationError(CavityModelError):
-    """Mutually inconsistent or incomplete construction request."""
+    """A CLI configuration the program cannot read: an unknown key, a
+    malformed line or value, or an unknown mode."""
 
 
 class RegimeError(CavityModelError):

@@ -263,16 +263,14 @@ def _closed_imag(params: SystemParams, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def freespace_f00_closed(params: SystemParams, t, tol: float = DEFAULT_TOL):
+def freespace_f00_closed(params: SystemParams, t):
     """Weak-coupling f_00(t): exact damped-oscillation real part plus i G(t).
 
     ``t`` is a scalar (returns a complex) or a grid (returns a complex
     array).  G is the closed form of the module docstring; it agrees with
     a 30-digit evaluation to within 4e-15 for g from 0.01 omega_bar to the
-    float below omega_bar and g t up to 1800, so ``tol`` is accepted and
-    not needed.  Raises
-    :class:`RegimeError` outside the weak regime; use
-    :func:`freespace_f00_numeric` there.
+    float below omega_bar and g t up to 1800.  Raises :class:`RegimeError`
+    outside the weak regime; use :func:`freespace_f00_numeric` there.
     """
     if params.regime != REGIME_WEAK:
         raise RegimeError(

@@ -2,12 +2,13 @@
 
 The model couples a harmonically approximated atom of renormalized
 frequency ``omega_bar`` to the discrete scalar-field modes of a perfectly
-reflecting spherical cavity of radius ``radius``.  All later stages
+reflecting spherical cavity.  The cavity enters through the one number
+delta = g R/(pi c): the physics depends on the radius R and the wave
+speed c only through R/c = pi/delta_omega = pi*delta/g.  All later stages
 (spectrum, mode transform, time evolution, entanglement) consume a single
 immutable :class:`SystemParams` value built by :func:`make_params`.
 
-Units are natural (hbar = 1); the wave speed ``c`` is configurable and
-defaults to 1.
+Units are natural (hbar = 1, c = 1), so ``radius`` is R/c.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 
 REGIME_WEAK = "weak"      # g < omega_bar, kappa real
 REGIME_STRONG = "strong"  # g >= omega_bar, no damped-oscillation closed form
@@ -33,11 +34,10 @@ class SystemParams:
 
     omega_bar: float        # renormalized atom frequency (rad/time)
     g: float                # atom-environment coupling (frequency units)
-    radius: float           # cavity radius (length)
-    c: float                # wave speed (length/time)
+    radius: float           # R/c = pi/delta_omega (time, c = 1)
     n_modes: int            # field-mode truncation count N
-    delta: float            # dimensionless g*radius/(pi*c), equals g/delta_omega
-    delta_omega: float      # bare mode spacing pi*c/radius
+    delta: float            # dimensionless g*R/(pi*c), equals g/delta_omega
+    delta_omega: float      # bare mode spacing pi*c/R = g/delta
     eta: float              # coupling amplitude sqrt(4*g*delta_omega/pi)
     kappa: Optional[float]  # sqrt(omega_bar^2 - g^2), defined only when weak
     regime: str             # REGIME_WEAK or REGIME_STRONG
@@ -57,44 +57,28 @@ def _require_positive(name: str, value: float) -> float:
 def make_params(
     omega_bar: float,
     g: float,
-    c: float = 1.0,
     *,
-    radius: Optional[float] = None,
-    delta: Optional[float] = None,
+    delta: float,
     n_modes: int = DEFAULT_N_MODES,
 ) -> SystemParams:
     """Build a validated :class:`SystemParams`.
 
-    Exactly one of ``radius`` and ``delta`` must be given; the other is
-    derived through delta = g*radius/(pi*c).  The regime flag is ``"weak"``
-    for g < omega_bar and ``"strong"`` otherwise (g equal to omega_bar
-    counts as strong because kappa would vanish and the damped-oscillation
-    closed form becomes singular).
+    A cavity of radius R at wave speed c is ``delta`` = g*R/(pi*c).  The
+    regime flag is ``"weak"`` for g < omega_bar and ``"strong"`` otherwise
+    (g equal to omega_bar counts as strong because kappa would vanish and
+    the damped-oscillation closed form becomes singular).
 
     Raises
     ------
     ValidationError
         A non-positive or non-finite input; the message names the field.
-    ConfigurationError
-        Both or neither of ``radius`` and ``delta`` supplied.
     """
     omega_bar = _require_positive("omega_bar", omega_bar)
     g = _require_positive("g", g)
-    c = _require_positive("c", c)
-    if (radius is None) == (delta is None):
-        raise ConfigurationError(
-            "exactly one of radius and delta must be supplied"
-        )
-    if delta is None:
-        radius = _require_positive("radius", radius)
-        delta_omega = math.pi * c / radius
-        delta = g / delta_omega
-    else:
-        delta = _require_positive("delta", delta)
-        delta_omega = g / delta
-        radius = math.pi * c / delta_omega
+    delta = _require_positive("delta", delta)
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValidationError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+    delta_omega = g / delta
 
     eta = math.sqrt(4.0 * g * delta_omega / math.pi)
     if g < omega_bar:
@@ -107,8 +91,7 @@ def make_params(
     return SystemParams(
         omega_bar=omega_bar,
         g=g,
-        radius=radius,
-        c=c,
+        radius=math.pi / delta_omega,
         n_modes=n_modes,
         delta=delta,
         delta_omega=delta_omega,

@@ -1,17 +1,20 @@
 """Normal-mode eigenfrequencies of the coupled atom-field system.
 
-For a cavity of radius R the collective mode frequencies are the roots of
+For a cavity of radius R at wave speed c the collective mode frequencies
+are the roots of
 
     cot(R*Omega/c) = Omega/(2g) + (c/(R*Omega)) * (1 - R*omega_bar^2/(2gc))
 
-There is exactly one root per cotangent branch: the left side falls from
-+inf to -inf across each open interval (r*pi*c/R, (r+1)*pi*c/R) while the
-right side is continuous there, so safeguarded bisection inside each
-branch is an exhaustive and derivative-free solver.  Branches are indexed
-r = 0..n_modes; interlacing r*delta_omega < Omega_r < (r+1)*delta_omega
-holds for every root (branch 0 starts at 0).  A :class:`Spectrum` holds
-these roots and their residuals only; the first-order small-cavity values
-of :func:`approx_spectrum_small_cavity` are a plain frequency array.
+The code works in units with c = 1, where ``params.radius`` is
+R/c = pi/delta_omega.  There is exactly one root per cotangent branch: the
+left side falls from +inf to -inf across each open interval
+(r*delta_omega, (r+1)*delta_omega) while the right side is continuous
+there, so safeguarded bisection inside each branch is an exhaustive and
+derivative-free solver.  Branches are indexed r = 0..n_modes; interlacing
+r*delta_omega < Omega_r < (r+1)*delta_omega holds for every root (branch
+0 starts at 0).  A :class:`Spectrum` holds these roots and their
+residuals only; the first-order small-cavity values of
+:func:`approx_spectrum_small_cavity` are a plain frequency array.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ def eigenfrequency_mismatch(params: SystemParams, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise PoleProximityError("omega must be positive (pole at zero)")
-    u = params.radius * omega / params.c
-    s = np.sin(u)
+    s = np.sin(params.radius * omega)
     if np.any(np.abs(s) < _POLE_SIN_FLOOR):
         raise PoleProximityError(
             "frequency within 1e-14 of a cotangent pole; shrink the bracket"
@@ -77,19 +79,19 @@ def eigenfrequency_mismatch(params: SystemParams, omega):
 
 
 def _mismatch_raw(params: SystemParams, omega: np.ndarray) -> np.ndarray:
-    u = params.radius * omega / params.c
-    rhs_const = 1.0 - params.radius * params.omega_bar**2 / (2.0 * params.g * params.c)
+    u = params.radius * omega
+    rhs_const = 1.0 - params.radius * params.omega_bar**2 / (2.0 * params.g)
     return np.cos(u) / np.sin(u) - (
-        omega / (2.0 * params.g) + (params.c / (params.radius * omega)) * rhs_const
+        omega / (2.0 * params.g) + (1.0 / (params.radius * omega)) * rhs_const
     )
 
 
 def _mismatch_derivative(params: SystemParams, omega: np.ndarray) -> np.ndarray:
-    u = params.radius * omega / params.c
-    rhs_const = 1.0 - params.radius * params.omega_bar**2 / (2.0 * params.g * params.c)
-    return -(params.radius / params.c) / np.sin(u) ** 2 - (
+    u = params.radius * omega
+    rhs_const = 1.0 - params.radius * params.omega_bar**2 / (2.0 * params.g)
+    return -params.radius / np.sin(u) ** 2 - (
         1.0 / (2.0 * params.g)
-        - (params.c / (params.radius * omega**2)) * rhs_const
+        - (1.0 / (params.radius * omega**2)) * rhs_const
     )
 
 

@@ -101,7 +101,7 @@ def test_criterion_3_numeric_vs_closed(acceptance_log, weak_params):
     worst = 0.0
     for t in np.linspace(0.0, 20.0, 201):
         numeric = dc.freespace_f00_numeric(weak_params, float(t), tol=1e-8)
-        closed = dc.freespace_f00_closed(weak_params, float(t), tol=1e-8)
+        closed = dc.freespace_f00_closed(weak_params, float(t))
         worst = max(worst, abs(numeric - closed))
     elapsed = time.perf_counter() - start
     acceptance_log(

@@ -121,19 +121,25 @@ def test_cavity_is_set_by_delta_alone(tmp_path, key, value):
 
 
 def test_a_cavity_radius_is_a_delta():
-    # radius R at wave speed c: the same roots and atom row as delta = g R/(pi c)
-    g, radius, c = 0.4, 2.0, 3.0
+    # radius R at wave speed c is delta = g R/(pi c): the roots solve the
+    # eigenfrequency equation written with R and c, and params.radius is R/c
+    omega_bar, g, radius, c = 1.0, 0.4, 2.0, 3.0
     args = cli.build_parser().parse_args(
         ["spectrum", "--g", repr(g), "--delta", repr(g * radius / (np.pi * c))]
     )
-    from_delta = cli.merge_config(args).make_params(n_modes=300)
-    from_radius = dc.make_params(1.0, g, c, radius=radius, n_modes=300)
-    spec_delta = dc.solve_spectrum(from_delta)
-    spec_radius = dc.solve_spectrum(from_radius)
-    assert np.allclose(spec_delta.omegas, spec_radius.omegas, rtol=1e-13, atol=0)
-    row_delta = dc.atom_row(from_delta, spec_delta)
-    row_radius = dc.atom_row(from_radius, spec_radius)
-    assert np.abs(row_delta - row_radius).max() <= 1e-12
+    params = cli.merge_config(args).make_params(n_modes=300)
+    assert params.omega_bar == omega_bar
+    assert params.radius == pytest.approx(radius / c, rel=1e-15)
+    omega = dc.solve_spectrum(params).omegas
+    u = radius * omega / c
+    const = 1.0 - radius * omega_bar**2 / (2.0 * g * c)
+    f = np.cos(u) / np.sin(u) - omega / (2.0 * g) - c / (radius * omega) * const
+    df = (
+        -(radius / c) / np.sin(u) ** 2
+        - 1.0 / (2.0 * g)
+        + c / (radius * omega**2) * const
+    )
+    assert np.abs(f / df).max() <= 1e-10
 
 
 def test_cmd_spectrum_output(tmp_path):
@@ -413,6 +419,10 @@ def test_cmd_convergence(tmp_path):
     assert "non-increasing" in text
     assert "WARNING" not in text
     assert text.splitlines()[1] == "omega_bar=1.0 g=0.5 delta=0.1 xi=0.5"
+    assert text.splitlines()[3] == (
+        "N, raw_column_norm_defect, raw_orthogonality_defect,"
+        " raw_unitarity_defect, unitarity_defect, entropy_std"
+    )
     table = [
         line for line in text.splitlines() if line and line[0].isdigit()
     ]
@@ -443,6 +453,25 @@ def test_selftest_flags_injected_corruption(monkeypatch):
     results = cli.selftest_checks(config)
     failures = {r.name for r in results if not r.passed}
     assert "spectrum_interlacing" in failures
+
+
+def test_selftest_recomputes_the_root_residuals(monkeypatch):
+    config = cli.RunConfig(n_modes=120)
+    params = config.make_params()
+    spec = dc.solve_spectrum(params)
+    bad = np.array(spec.omegas)
+    bad[50] += 1e-6  # still inside its branch; the stored residuals are stale
+    corrupted = dataclasses.replace(spec, omegas=bad)
+    assert dc.check_interlacing(params, corrupted)
+    monkeypatch.setattr(cli.spectrum_mod, "solve_spectrum", lambda p: corrupted)
+    failures = {r.name for r in cli.selftest_checks(config) if not r.passed}
+    assert "spectrum_residuals" in failures
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-2])
+def test_selftest_passes_at_small_delta(delta):
+    results = cli.selftest_checks(cli.RunConfig(delta=delta, n_modes=300))
+    assert [f"{r.name}: {r.detail}" for r in results if not r.passed] == []
 
 
 def test_selftest_entropy_check_sees_a_scaled_column(monkeypatch):

@@ -38,7 +38,7 @@ def test_atom_element_exact_value(baseline_params):
 
 def test_atom_element_decoupling_limit():
     # vanishing coupling at fixed spacing: the atom is its own normal mode
-    p = dc.make_params(1.0, 1e-6, radius=np.pi / 5.0)
+    p = dc.make_params(1.0, 1e-6, delta=2e-7)
     assert dc.atom_element(p, p.omega_bar) == pytest.approx(1.0, abs=1e-5)
 
 

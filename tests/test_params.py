@@ -5,11 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dressedcavity as dc
-from dressedcavity.errors import ConfigurationError, ValidationError
+from dressedcavity.errors import ValidationError
 
 
 def test_baseline_derived_scalars():
-    p = dc.make_params(1.0, 0.5, 1.0, delta=0.1, n_modes=100)
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=100)
     assert p.delta_omega == pytest.approx(5.0, rel=1e-15)
     assert p.radius == pytest.approx(0.62831853071795865, rel=1e-15)
     assert p.eta == pytest.approx(1.7841241161527711, rel=1e-15)
@@ -30,46 +30,35 @@ def test_strong_coupling():
     assert p.kappa is None
 
 
-def test_round_trip_delta_radius():
-    p1 = dc.make_params(1.0, 0.5, delta=0.1)
-    p2 = dc.make_params(1.0, 0.5, radius=p1.radius)
-    assert p2.delta == pytest.approx(p1.delta, rel=1e-15)
-    p3 = dc.make_params(1.0, 0.5, delta=p2.delta)
-    assert p3.radius == pytest.approx(p1.radius, rel=1e-15)
-
-
-def test_radius_and_delta_inputs_agree():
-    a = dc.make_params(1.3, 0.4, 2.0, delta=0.07)
-    b = dc.make_params(1.3, 0.4, 2.0, radius=a.radius)
-    for name in ("delta", "delta_omega", "eta", "kappa", "radius"):
-        assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-14)
-
-
-@pytest.mark.parametrize("name", ["omega_bar", "g", "c"])
+@pytest.mark.parametrize("name", ["omega_bar", "g"])
 def test_nonpositive_inputs_name_the_field(name):
-    kwargs = dict(omega_bar=1.0, g=0.5, c=1.0)
+    kwargs = dict(omega_bar=1.0, g=0.5)
     kwargs[name] = -1.0
     with pytest.raises(ValidationError, match=name):
-        dc.make_params(kwargs["omega_bar"], kwargs["g"], kwargs["c"], delta=0.1)
+        dc.make_params(kwargs["omega_bar"], kwargs["g"], delta=0.1)
 
 
-def test_nonpositive_delta_and_radius_rejected():
+def test_nonpositive_delta_rejected():
     with pytest.raises(ValidationError, match="delta"):
         dc.make_params(1.0, 0.5, delta=0.0)
-    with pytest.raises(ValidationError, match="radius"):
-        dc.make_params(1.0, 0.5, radius=-2.0)
+
+
+def test_the_cavity_is_delta_alone():
+    # delta = g R/(pi c) is the only cavity input: no radius, no wave speed
+    with pytest.raises(TypeError, match="delta"):
+        dc.make_params(1.0, 0.5)
+    with pytest.raises(TypeError, match="radius"):
+        dc.make_params(1.0, 0.5, radius=1.0)
+    with pytest.raises(TypeError, match="'c'"):
+        dc.make_params(1.0, 0.5, c=2.0, delta=0.1)
+    with pytest.raises(TypeError):
+        dc.make_params(1.0, 0.5, 2.0, delta=0.1)
+    assert not hasattr(dc.make_params(1.0, 0.5, delta=0.1), "c")
 
 
 def test_bad_n_modes_rejected():
     with pytest.raises(ValidationError, match="n_modes"):
         dc.make_params(1.0, 0.5, delta=0.1, n_modes=0)
-
-
-def test_both_or_neither_radius_delta_is_config_error():
-    with pytest.raises(ConfigurationError):
-        dc.make_params(1.0, 0.5, delta=0.1, radius=1.0)
-    with pytest.raises(ConfigurationError):
-        dc.make_params(1.0, 0.5)
 
 
 def test_params_immutable():
@@ -81,9 +70,9 @@ def test_params_immutable():
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
-@given(omega_bar=positive, g=positive, c=positive, delta=positive)
-def test_eta_coupling_identity(omega_bar, g, c, delta):
-    p = dc.make_params(omega_bar, g, c, delta=delta)
+@given(omega_bar=positive, g=positive, delta=positive)
+def test_eta_coupling_identity(omega_bar, g, delta):
+    p = dc.make_params(omega_bar, g, delta=delta)
     assert p.eta**2 / p.delta_omega == pytest.approx(4.0 * g / math.pi, rel=1e-12)
     assert p.delta * p.delta_omega == pytest.approx(g, rel=1e-14)
     assert (p.kappa is None) == (g >= omega_bar)
