@@ -18,10 +18,12 @@ The commands compute through the library: the atom row T[0, :] by
 s = sum_nu |f_0_nu(t)|^2 as sum_s T[0, s]^2 at every t, which it equals
 for the orthogonal repaired T (T^T T = I, |exp(-i Omega_s t)| = 1).
 The full matrix of ``modes.build_matrix`` is formed only by
-``spectrum --dump-matrix``, ``convergence`` and ``selftest``; the last two
-check that identity time by time with ``evolution.row_norms``, and the
-selftest also runs the dense eigensolver verifier
-``bipartite.entropy_time_independence_check`` at N <= 100 only.
+``spectrum --dump-matrix`` and ``selftest``; the selftest checks that
+identity time by time with ``evolution.row_norms`` and also runs the
+dense eigensolver verifier ``bipartite.entropy_time_independence_check``
+at N <= 100 only.  ``convergence`` reports the defects of the unrepaired
+columns from ``modes.raw_defects``, their closed-form Gram matrix, with
+no (N+1)^2 array.
 
 Configuration is a flat key=value file plus per-key command-line
 overrides; flag names mirror the keys and parse alike (``_parse_value``).
@@ -330,59 +332,35 @@ def cmd_figure2(config: RunConfig) -> int:
     return 0
 
 
-def _raw_unitarity_defect(params, spec, norms, times) -> float:
-    """max_t |1 - sum_nu |f_0_nu(t)|^2| with the rescaled, unrepaired matrix."""
-    rescaled = modes.assemble_raw_matrix(params, spec)
-    rescaled /= norms
-    sums = evolution.row_norms(rescaled, spec.omegas, 0, times)
-    return float(np.abs(1.0 - sums).max())
-
-
 def cmd_convergence(config: RunConfig) -> int:
     check_times = (0.0, 1.0, 10.0)
     lines = [
         "truncation convergence report",
-        f"omega_bar={config.omega_bar} g={config.g} delta={config.delta} "
-        f"xi={config.xi}",
+        f"omega_bar={config.omega_bar} g={config.g} delta={config.delta}",
         "",
-        "N, raw_column_norm_defect, raw_orthogonality_defect, raw_unitarity_defect,"
-        " unitarity_defect, entropy_std",
+        "N, raw_column_norm_defect, raw_orthogonality_defect, raw_unitarity_defect",
     ]
-    xi = config.xi
-    raw_cols, raw_orth, raw_unit, post_unit = [], [], [], []
+    sweep = []
     for n in config.n_sweep:
         params = config.make_params(n_modes=n)
         spec = spectrum_mod.solve_spectrum(params)
-        matrix = modes.build_matrix(params, spec)
-        norms = matrix.raw_column_norms
-        col_defect = float(np.abs(1.0 - norms**2).max())
-        orth_defect = matrix.raw_orthogonality_defect
-        raw_defect = _raw_unitarity_defect(params, spec, norms, check_times)
-        post_defect = evolution.unitarity_defect(matrix, spec, 0, check_times)
-        sums = evolution.row_norms(matrix.entries, spec.omegas, 0, check_times)
-        ent_std = float(np.std(bipartite.rank_two_entropy(xi, sums)))
-        raw_cols.append(col_defect)
-        raw_orth.append(orth_defect)
-        raw_unit.append(raw_defect)
-        post_unit.append(post_defect)
+        defects = modes.raw_defects(params, spec, check_times)
+        sweep.append(defects)
         lines.append(
-            f"{n}, {col_defect:.6e}, {orth_defect:.6e}, {raw_defect:.6e}, "
-            f"{post_defect:.6e}, {ent_std:.6e}"
+            f"{n}, {defects.column_norm:.6e}, {defects.orthogonality:.6e}, "
+            f"{defects.unitarity:.6e}"
         )
     lines.append("")
-    for label, seq in (
-        ("raw_column_norm_defect", raw_cols),
-        ("raw_orthogonality_defect", raw_orth),
-        ("raw_unitarity_defect", raw_unit),
+    for label, field in (
+        ("raw_column_norm_defect", "column_norm"),
+        ("raw_orthogonality_defect", "orthogonality"),
+        ("raw_unitarity_defect", "unitarity"),
     ):
+        seq = [getattr(defects, field) for defects in sweep]
         monotone = all(b <= a for a, b in zip(seq, seq[1:]))
         lines.append(
             f"{label}: {'non-increasing' if monotone else 'WARNING non-monotone'}"
         )
-    lines.append(
-        "unitarity_defect (after orthogonalization): "
-        + ("all at machine precision" if max(post_unit) < 1e-10 else "see table")
-    )
     path = _out_path(config, "convergence.txt")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

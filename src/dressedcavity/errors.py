@@ -30,10 +30,6 @@ class ApproximationDomainError(CavityModelError):
     """Requested closed-form approximation is outside its validity domain."""
 
 
-class PoleProximityError(CavityModelError):
-    """Frequency too close to a cotangent pole for a meaningful evaluation."""
-
-
 class SpectrumSolverError(CavityModelError):
     """Root bracketing or ordering failed; the message names the branch."""
 

@@ -26,6 +26,22 @@ The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 rescaled X, O(N^2) per step and no (N+1)^2 array beyond X, and agrees
 with ``build_matrix(...).entries[0]`` to 1e-14 for delta <= 3 and to
 1e-12 over the tested grid.
+
+The raw truncation defects need no matrix at all.  With a_r the atom
+entry of column r, x_r = Omega_r^2 and S(x) = sum_k omega_k^2/(omega_k^2 - x),
+partial fractions over k give the Gram matrix of the raw columns as
+
+    G_rs = a_r a_s [1 + eta^2 (S(x_r) - S(x_s))/(x_r - x_s)]   (r != s)
+    G_rr = a_r^2 [1 + eta^2 S'(x_r)],  S'(x) = sum_k omega_k^2/(omega_k^2 - x)^2,
+
+a Cauchy-like matrix (Gohberg, Kailath & Olshevsky, Math. Comp. 64
+(1995)).  The differences of S are taken as differences of
+S(x) - N = x sum_k 1/(omega_k^2 - x), which drops the constant N and
+with it its roundoff.  :func:`raw_defects` forms S, S' and then G a block
+of rows at a time: each block is O(N) memory, the whole pass O(N^2)
+time, against the (N+1)^2 arrays and O(N^3) products of the matrix
+route.  :func:`build_matrix` keeps forming X^T X by a matrix product, as
+the independent reference the tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -56,6 +72,9 @@ _ROUNDOFF = float(np.finfo(float).eps)
 
 #: rows per block of the column norms' squares
 _NORM_ROWS = 32
+
+#: rows per block of the closed-form Gram matrix in :func:`raw_defects`
+_GRAM_ROWS = 32
 
 #: successive Lanczos estimates of the atom row that agree to this many
 #: ulps of its largest entry end the iteration
@@ -106,21 +125,11 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     root's distance at its nearest bare frequencies only
     (:func:`_nearest_resonance`).
     """
-    if spectrum.n_modes != params.n_modes:
-        raise ConsistencyError(
-            f"spectrum has {spectrum.n_modes} field modes, params expect "
-            f"{params.n_modes}"
-        )
+    _check_columns(params, spectrum)
     omegas = spectrum.omegas
     atom_row = atom_element(params, omegas)
     omega_k = params.field_frequencies()
     field_sq, roots_sq = omega_k**2, omegas**2
-    if _nearest_resonance(field_sq, roots_sq) < (
-        _RESONANCE_FLOOR * params.delta_omega**2
-    ):
-        raise NearResonanceError(
-            "normal mode coincides with a bare field frequency"
-        )
     t = np.empty((params.n_modes + 1, params.n_modes + 1))
     t[0, :] = atom_row
     field = t[1:]
@@ -128,6 +137,35 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     np.divide((params.eta * omega_k)[:, None], field, out=field)
     field *= atom_row
     return t
+
+
+def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
+    """Refuse a spectrum of other parameters, or a root on a bare frequency.
+
+    The preconditions of the closed-form columns: a spectrum whose size
+    differs from ``params`` raises :class:`ConsistencyError`, and a root
+    within the resonance floor of a bare frequency (interlacing forbids
+    it) raises :class:`NearResonanceError`.
+    """
+    if spectrum.n_modes != params.n_modes:
+        raise ConsistencyError(
+            f"spectrum has {spectrum.n_modes} field modes, params expect "
+            f"{params.n_modes}"
+        )
+    if _nearest_resonance(params.field_frequencies() ** 2, spectrum.omegas**2) < (
+        _RESONANCE_FLOOR * params.delta_omega**2
+    ):
+        raise NearResonanceError(
+            "normal mode coincides with a bare field frequency"
+        )
+
+
+def _check_increasing(spectrum: Spectrum) -> None:
+    """Refuse equal or unordered roots, which give identical columns."""
+    if not np.all(np.diff(spectrum.omegas) > 0.0):
+        raise NumericDomainError(
+            "roots must increase strictly: equal roots give identical columns"
+        )
 
 
 def _nearest_resonance(field_sq: np.ndarray, roots_sq: np.ndarray) -> float:
@@ -283,10 +321,7 @@ def atom_row(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     Ritz value raise :class:`NumericDomainError`.  The signs follow the
     positive atom-row convention of :func:`build_matrix`.
     """
-    if not np.all(np.diff(spectrum.omegas) > 0.0):
-        raise NumericDomainError(
-            "roots must increase strictly: equal roots give identical columns"
-        )
+    _check_increasing(spectrum)
     x, _ = _rescaled_matrix(params, spectrum)
     n = x.shape[0]
     norm_u = float(np.linalg.norm(x[0]))
@@ -326,6 +361,79 @@ def atom_row(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     if np.any(row <= 0.0):
         raise NumericDomainError("atom-row sign convention could not be enforced")
     return row
+
+
+@dataclass(frozen=True)
+class RawDefects:
+    """Truncation defects of the closed-form columns before any repair."""
+
+    column_norm: float     # max_r |1 - n_r^2|, n_r the raw column norm
+    orthogonality: float   # max |column dot| off the diagonal, rescaled
+    unitarity: float       # max_t |1 - sum_nu |f_0_nu(t)|^2|, rescaled
+
+
+def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
+    """The three raw truncation defects from the closed-form Gram matrix.
+
+    ``column_norm`` is max |1 - n_r^2| over ``build_matrix``'s
+    ``raw_column_norms``, ``orthogonality`` its
+    ``raw_orthogonality_defect``, and ``unitarity`` the largest
+    |1 - sum_nu |f_0_nu(t)|^2| over ``times`` with the column-rescaled,
+    unrepaired matrix X.  With c the rescaled atom row and
+    w_t = c * exp(-i Omega t), that sum is w_t^H G w_t for the Gram
+    matrix G = X^T X of the module docstring, which is taken here
+    ``_GRAM_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
+    time, O(N) memory.  The preconditions are those of
+    :func:`assemble_raw_matrix`, and roots that do not increase strictly
+    raise :class:`NumericDomainError` as in :func:`atom_row`.
+    """
+    _check_columns(params, spectrum)
+    _check_increasing(spectrum)
+    atom = atom_element(params, spectrum.omegas)
+    field_sq, roots_sq = params.field_frequencies() ** 2, spectrum.omegas**2
+    eta2 = params.eta**2
+
+    # S_r - N = x_r sum_k 1/(omega_k^2 - x_r) and S'_r, row block by row block
+    shifted = np.empty(roots_sq.size)
+    slope = np.empty(roots_sq.size)
+    for start in range(0, roots_sq.size, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        inverse = np.subtract.outer(roots_sq[rows], field_sq)
+        np.divide(1.0, inverse, out=inverse)  # 1/(x_r - omega_k^2)
+        shifted[rows] = -roots_sq[rows] * inverse.sum(axis=1)
+        inverse *= inverse
+        slope[rows] = inverse @ field_sq
+    norm_sq = atom**2 * (1.0 + eta2 * slope)
+    scale = atom / np.sqrt(norm_sq)
+
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    phases = np.multiply.outer(spectrum.omegas, times)
+    w = np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
+    w *= scale[:, None]
+    quadratic = np.zeros(w.shape[1])  # u^T G u and v^T G v of w = u - i v
+    offdiag = 0.0
+    for start in range(0, roots_sq.size, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        gram = np.subtract.outer(roots_sq[rows], roots_sq)
+        local = np.arange(gram.shape[0])
+        diagonal = (local, local + start)
+        gram[diagonal] = 1.0  # the numerator is 0 there; set below
+        np.divide(np.subtract.outer(shifted[rows], shifted), gram, out=gram)
+        gram *= eta2
+        gram += 1.0
+        gram *= scale[rows, None]
+        gram *= scale
+        gram[diagonal] = 0.0
+        offdiag = max(offdiag, _max_abs(gram))
+        gram[diagonal] = 1.0
+        quadratic += np.einsum("ij,ij->j", gram @ w, w[rows])
+    sums = quadratic[: times.size] + quadratic[times.size :]
+
+    return RawDefects(
+        column_norm=float(np.abs(1.0 - norm_sq).max()),
+        orthogonality=offdiag,
+        unitarity=float(np.abs(1.0 - sums).max()),
+    )
 
 
 def small_cavity_elements(params: SystemParams) -> tuple[float, np.ndarray]:

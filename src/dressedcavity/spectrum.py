@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproximationDomainError, PoleProximityError, SpectrumSolverError
+from .errors import ApproximationDomainError, SpectrumSolverError
 from .params import SystemParams
 
 #: fraction of a branch width kept clear of each cotangent pole
 _POLE_INSET = 1e-9
-#: |sin(R*Omega/c)| below this is treated as "on the pole"
-_POLE_SIN_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -52,30 +50,6 @@ class Spectrum:
     def n_modes(self) -> int:
         """Field modes the roots pair with: one root per branch 0..n_modes."""
         return self.omegas.size - 1
-
-
-def eigenfrequency_mismatch(params: SystemParams, omega):
-    """Left minus right side of the eigenfrequency equation.
-
-    Sign changes of this function bracket normal-mode roots.  Accepts a
-    scalar or an array of frequencies.
-
-    Raises
-    ------
-    PoleProximityError
-        If any frequency sits within |sin(R*Omega/c)| < 1e-14 of a
-        cotangent pole, so bracketing logic can shrink its interval.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise PoleProximityError("omega must be positive (pole at zero)")
-    s = np.sin(params.radius * omega)
-    if np.any(np.abs(s) < _POLE_SIN_FLOOR):
-        raise PoleProximityError(
-            "frequency within 1e-14 of a cotangent pole; shrink the bracket"
-        )
-    value = _mismatch_raw(params, omega)
-    return value if value.ndim else float(value)
 
 
 def _mismatch_raw(params: SystemParams, omega: np.ndarray) -> np.ndarray:

@@ -418,18 +418,44 @@ def test_cmd_convergence(tmp_path):
     text = (tmp_path / "convergence.txt").read_text()
     assert "non-increasing" in text
     assert "WARNING" not in text
-    assert text.splitlines()[1] == "omega_bar=1.0 g=0.5 delta=0.1 xi=0.5"
+    assert text.splitlines()[1] == "omega_bar=1.0 g=0.5 delta=0.1"
     assert text.splitlines()[3] == (
         "N, raw_column_norm_defect, raw_orthogonality_defect,"
-        " raw_unitarity_defect, unitarity_defect, entropy_std"
+        " raw_unitarity_defect"
     )
     table = [
         line for line in text.splitlines() if line and line[0].isdigit()
     ]
     defects = np.array([[float(x) for x in row.split(",")] for row in table])
+    assert defects.shape == (3, 4)
     assert np.all(np.diff(defects[:, 1]) < 0)  # raw column-norm defect falls
     assert np.all(np.diff(defects[:, 3]) < 0)  # raw unitarity defect falls
-    assert np.all(defects[:, 4] < 1e-10)       # corrected propagation is unitary
+
+
+def test_cmd_convergence_forms_no_mode_matrix(tmp_path, monkeypatch):
+    # the raw columns come from the closed-form Gram matrix alone
+    argv = ["convergence", "--g", "1.5", "--delta", "3", "--n-sweep", "30,90"]
+
+    def refuse(*args):
+        raise AssertionError("convergence formed an (N+1)^2 matrix")
+
+    for name in ("build_matrix", "assemble_raw_matrix"):
+        monkeypatch.setattr(dc.modes, name, refuse)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+
+    table = [
+        line
+        for line in (tmp_path / "convergence.txt").read_text().splitlines()
+        if line and line[0].isdigit()
+    ]
+    expected = []
+    for n in (30, 90):
+        p = dc.make_params(1.0, 1.5, delta=3.0, n_modes=n)
+        d = dc.raw_defects(p, dc.solve_spectrum(p), (0.0, 1.0, 10.0))
+        expected.append(
+            f"{n}, {d.column_norm:.6e}, {d.orthogonality:.6e}, {d.unitarity:.6e}"
+        )
+    assert table == expected
 
 
 def test_selftest_passes_quickly():
@@ -569,26 +595,6 @@ def test_bad_mode_precondition_exit_code(tmp_path):
         ]
     )
     assert rc == 3
-
-
-def test_convergence_entropy_uses_config_xi(tmp_path, monkeypatch):
-    spectra = []
-    original = cli.bipartite.von_neumann_entropy
-
-    def spy(probabilities):
-        spectra.append(np.array(probabilities))
-        return original(probabilities)
-
-    monkeypatch.setattr(cli.bipartite, "von_neumann_entropy", spy)
-    rc = cli.main(
-        ["convergence", "--n-sweep", "20", "--xi", "0.2", "--out", str(tmp_path)]
-    )
-    assert rc == 0
-    assert len(spectra) == 1  # one stacked call over the check times
-    (stacked,) = spectra
-    assert stacked.shape == (3, 2)
-    assert np.all(np.abs(stacked[:, 0] - 0.8) <= 1e-15)
-    assert np.all(np.abs(stacked[:, 1] - 0.2) <= 1e-9)
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,71 @@ def test_atom_row_peak_memory_is_one_matrix():
     assert peak <= 8 * (n + 1) ** 2 + 64 * 8 * (n + 1)
 
 
+def dense_raw_defects(params, spectrum, times):
+    """The three raw defects from the assembled (N+1)^2 matrices:
+    build_matrix's raw norms and X^T X, and the row sums of the rescaled
+    raw matrix."""
+    matrix = dc.build_matrix(params, spectrum)
+    norms = matrix.raw_column_norms
+    rescaled = dc.assemble_raw_matrix(params, spectrum) / norms
+    sums = dc.row_norms(rescaled, spectrum.omegas, 0, times)
+    return (
+        float(np.abs(1.0 - norms**2).max()),
+        matrix.raw_orthogonality_defect,
+        float(np.abs(1.0 - sums).max()),
+    )
+
+
+# (n, g, delta); at delta = 1000 the dense reference takes a dozen
+# Newton-Schulz steps, so that row stops at N = 300
+RAW_DEFECT_CASES = [
+    (n, g, delta)
+    for g in (0.05, 0.5, 1.5)
+    for delta in (1e-3, 0.1, 3.0, 30.0, 1000.0)
+    for n in ((1, 30, 200, 300) if delta == 1000.0 else (1, 30, 300, 1000))
+]
+
+
+@pytest.mark.parametrize("n, g, delta", RAW_DEFECT_CASES)
+def test_raw_defects_match_the_dense_matrix(n, g, delta):
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    times = (0.0, 1.0, 10.0)
+    got = dc.raw_defects(p, spec, times)
+    expected = dense_raw_defects(p, spec, times)
+    assert abs(got.column_norm - expected[0]) <= 1e-13
+    assert abs(got.orthogonality - expected[1]) <= 1e-13
+    assert abs(got.unitarity - expected[2]) <= 1e-13
+
+
+def test_raw_defects_peak_memory_is_a_quarter_matrix():
+    n = 3000
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    tracemalloc.start()
+    try:
+        dc.raw_defects(p, spec, (0.0, 1.0, 10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + 1) ** 2 / 4
+
+
+def test_raw_defects_preconditions(small_params, small_spectrum, baseline_spectrum):
+    times = (0.0, 1.0)
+    with pytest.raises(ConsistencyError):
+        dc.raw_defects(small_params, baseline_spectrum, times)
+    for root, mode in [(-1, -1), (0, 0), (7, 3), (2, -1)]:
+        omegas = np.array(small_spectrum.omegas)
+        omegas[root] = small_params.field_frequencies()[mode]
+        with pytest.raises(NearResonanceError):
+            dc.raw_defects(small_params, replace(small_spectrum, omegas=omegas), times)
+    equal = np.array(small_spectrum.omegas)
+    equal[1] = equal[0]
+    with pytest.raises(NumericDomainError):
+        dc.raw_defects(small_params, replace(small_spectrum, omegas=equal), times)
+
+
 def test_build_matrix_rejects_mismatched_sizes(small_params, baseline_spectrum):
     with pytest.raises(ConsistencyError):
         dc.build_matrix(small_params, baseline_spectrum)

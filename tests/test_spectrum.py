@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 import dressedcavity as dc
-from dressedcavity.errors import (
-    ApproximationDomainError,
-    PoleProximityError,
-)
+from dressedcavity.errors import ApproximationDomainError
 
 # independently solved roots at omega_bar=1, g=0.5, delta=0.1
 # (40-digit bisection of the eigenfrequency equation)
@@ -28,25 +25,6 @@ def test_cotangent_partial_fraction_identity():
         partial = float(np.sum(1.0 / (k * k - u * u))) + 1.0 / k[-1]
         closed = 0.5 * (1.0 / u**2 - np.pi / (u * np.tan(np.pi * u)))
         assert partial == pytest.approx(closed, abs=1e-6)
-
-
-def test_mismatch_is_small_at_low_roots(baseline_params, baseline_spectrum):
-    raw = np.abs(
-        dc.eigenfrequency_mismatch(baseline_params, baseline_spectrum.omegas[:11])
-    )
-    assert raw.max() < 1e-10
-
-
-def test_mismatch_diverges_positive_at_zero(baseline_params):
-    # with these numbers 1 - R*omega_bar^2/(2 g c) > 0, so the limit is +inf
-    assert dc.eigenfrequency_mismatch(baseline_params, 1e-6) > 1e5
-
-
-def test_mismatch_pole_guard(baseline_params):
-    with pytest.raises(PoleProximityError):
-        dc.eigenfrequency_mismatch(baseline_params, baseline_params.delta_omega)
-    with pytest.raises(PoleProximityError):
-        dc.eigenfrequency_mismatch(baseline_params, -1.0)
 
 
 def test_exact_roots_baseline(baseline_spectrum):
