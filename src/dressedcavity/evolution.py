@@ -50,7 +50,11 @@ import numpy as np
 from .errors import ApproximationDomainError, ConsistencyError
 from .modes import ModeMatrix, small_cavity_elements
 from .params import SystemParams
-from .spectrum import Spectrum, approx_spectrum_small_cavity
+from .spectrum import (
+    Spectrum,
+    approx_spectrum_small_cavity,
+    require_small_cavity_domain,
+)
 
 # times (or block starts) per chunk of a grid: bounds the phase temporaries
 _TIME_CHUNK = 256
@@ -166,6 +170,11 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     phases times the weighted offset table (module docstring), with no
     further exponential, and takes two real matrix products.
     """
+    if entries.shape[1] != omegas.size:
+        raise ConsistencyError(
+            f"mode matrix has {entries.shape[1]} columns but {omegas.size} "
+            "frequencies were given"
+        )
     times = np.atleast_1d(np.asarray(times, dtype=float))
     table, starts = _grid_factors(omegas, entries[mu], times)
     b = table.shape[1]
@@ -245,9 +254,12 @@ def small_cavity_lower_bound(params: SystemParams) -> float:
 
     (1 + 2 pi delta/3)^(-2) * (1 - 4 pi delta/3 - 4 pi^2 delta^2/9),
     obtained by sending every oscillating term of the first-order series
-    to -1.  The bracket turns negative for delta above about 0.198, where
-    the bound carries no information and the request is rejected.
+    to -1.  It refuses what the series refuses
+    (:func:`spectrum.require_small_cavity_domain`), and the bracket turns
+    negative for delta above about 0.198, where the bound carries no
+    information and the request is rejected too.
     """
+    require_small_cavity_domain(params)
     d = params.delta
     bracket = 1.0 - 4.0 * np.pi * d / 3.0 - 4.0 * np.pi**2 * d**2 / 9.0
     if bracket < 0.0:

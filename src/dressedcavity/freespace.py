@@ -7,12 +7,15 @@ When the cavity radius grows without bound the mode sum for f_00 becomes
 with w the renormalized atom frequency.  It is evaluated in two
 independent ways.
 
-Quadrature, any coupling.  The integrand has a resonance shoulder of width
-~g around w and an oscillatory 1/x^2 tail, so the quadrature integrates
-adaptive panels between the shoulder points {w-2g, w+2g, ...} and hands
-the tail beyond the last of them to QUADPACK's Fourier-integral routine
-QAWF (Piessens et al., QUADPACK, 1983), which sums it period by period
-and extrapolates with the epsilon algorithm.
+Quadrature, any coupling, one rule for every t >= 0.  The integrand has a
+resonance shoulder of width ~g around w and a 1/x^2 tail.  Adaptive panels
+run between the shoulder points {w-2g, w+2g, ...}, then, in ln x, decade
+by decade while t x < 1 (up to x = 1e12, which stops t = 0).  Only a tail
+that starts at t x >= 1 goes to QUADPACK's Fourier-integral routine QAWF
+(Piessens et al., QUADPACK, 1983), which sums it period by period and
+extrapolates with the epsilon algorithm; QAWF drops a tail that does not
+oscillate without a warning (numbers in _fourier_semi_infinite).  Any
+other tail goes to plain adaptive quadrature.
 
 Closed form, weak coupling (g < w, kappa = sqrt(w^2 - g^2)).  The
 denominator has the roots r = +-kappa +- ig, and partial fractions give
@@ -35,6 +38,7 @@ large near g = w, multiplies only Im F, which is of order kappa.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +53,9 @@ DEFAULT_TOL = 1e-8
 # smallest absolute accuracy asked of a quadrature call; a transform whose
 # budget lies below it is refused, since no call is asked to reach it
 _EPSABS_FLOOR = 1e-13
+
+_TAIL_PHASE = 1.0  # radians of t x at which QAWF takes the tail
+_PANEL_CAP = 1e12  # the decades past the shoulders stop here at tiny t
 
 # e^z E_1(z) = int_0^inf e^{-u} / (u + z) du by Gauss-Laguerre once |z| >= 2
 _LAGUERRE = roots_laguerre(96)
@@ -91,37 +98,30 @@ def _shoulders(params: SystemParams) -> tuple[float, ...]:
     return tuple(sorted(p for p in points if p > 0.0))
 
 
-def _panel(f, a, b, kind, t, epsabs):
-    # panel-level error budgeting replaces QUADPACK's warning policy; the
-    # oscillatory-weight routine only pays off beyond a few periods per
+def _panel(f, weighted, a, b, kind, t, opts):
+    # the oscillatory-weight routine only pays off beyond a few periods per
     # panel, and its reported error carries a coarse roundoff floor, so
     # mildly oscillatory panels use plain adaptive Gauss-Kronrod instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if t * (b - a) <= 20.0:
-            trig = np.cos if kind == "cos" else np.sin
-            return quad(
-                lambda x: f(x) * trig(t * x),
-                a, b, epsabs=epsabs, epsrel=1e-12, limit=200,
-            )
-        return quad(
-            f, a, b, weight=kind, wvar=t, epsabs=epsabs, epsrel=1e-12, limit=200
-        )
+    if t * (b - a) <= 20.0:
+        return quad(weighted, a, b, **opts)
+    return quad(f, a, b, weight=kind, wvar=t, **opts)
 
 
 def _fourier_semi_infinite(
     params: SystemParams, t: float, kind: str, tol: float
 ) -> tuple[float, float]:
-    """int_0^inf f(x) * {cos,sin}(x t) dx for the spectral weight f.
+    """int_0^inf f(x) {cos,sin}(x t) dx for the spectral weight f, any t >= 0.
 
-    Shoulder panels by :func:`_panel` up to the last shoulder point, then
-    the oscillatory tail beyond it by QUADPACK's Fourier-integral routine
-    QAWF (``quad`` with ``weight`` and an infinite upper limit), which
-    integrates period by period and extrapolates the partial sums with the
-    epsilon algorithm.  Returns (value, achieved error estimate), the
-    estimate being the sum of the panel and tail estimates, and raises
-    QuadratureError when it exceeds ``tol``.  A ``tol`` below
-    ``_EPSABS_FLOOR`` is refused before any integration.
+    Panels by :func:`_panel` up to the last shoulder point x0, one span in
+    ln x from x0 by decades while t x < ``_TAIL_PHASE`` and x < ``_PANEL_CAP``,
+    then the tail.  Only a tail that starts at t x >= ``_TAIL_PHASE`` goes
+    to QAWF: given one that does not oscillate (g = 0.5, t = 1e-8, x > 2,
+    worth 0.540), QAWF returns -1.6e-8 with an error estimate of 9e-12 and
+    no warning.  Any other tail goes to plain adaptive quadrature.
+
+    Returns (value, achieved error estimate), the sum of the pieces'
+    estimates, and raises QuadratureError when it exceeds ``tol``.  A
+    ``tol`` below ``_EPSABS_FLOOR`` is refused before any integration.
     """
     if not _EPSABS_FLOOR <= tol < np.inf:
         raise QuadratureError(
@@ -129,45 +129,44 @@ def _fourier_semi_infinite(
             "transform"
         )
     f = _spectral_weight(params)
-    shoulders = _shoulders(params)
+    trig = np.cos if kind == "cos" else np.sin
+
+    def weighted(x):
+        return f(x) * trig(t * x)
+
     epsabs = max(tol / 100.0, _EPSABS_FLOOR)
-
-    if t == 0.0:
-        if kind == "sin":
-            return 0.0, 0.0
-        # no oscillation: finite head plus an inverted tail that maps the
-        # 1/x^2 decay onto a bounded integrand
-        cut = max(10.0 * shoulders[-1], 50.0)
-        head, e1 = quad(f, 0.0, cut, points=shoulders, epsabs=epsabs,
-                        epsrel=1e-12, limit=400)
-        tail, e2 = quad(
-            lambda u: f(1.0 / u) / (u * u),
-            0.0,
-            1.0 / cut,
-            epsabs=epsabs,
-            epsrel=1e-12,
-            limit=400,
-        )
-        est = e1 + e2
-        if est > tol:
-            raise QuadratureError("non-oscillatory quadrature too inaccurate", est)
-        return head + tail, est
-
-    total = 0.0
-    achieved = 0.0
-    prev = 0.0
-    for s in shoulders:
-        v, e = _panel(f, prev, s, kind, t, epsabs)
-        total += v
-        achieved += e
-        prev = s
+    opts = dict(epsabs=epsabs, epsrel=1e-12, limit=200)
+    shoulders = _shoulders(params)
+    x0 = end = shoulders[-1]
+    while t * end < _TAIL_PHASE and end < _PANEL_CAP:
+        end *= 10.0
+    # panel-level error budgeting replaces QUADPACK's warning policy
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        tail, e = quad(f, prev, np.inf, weight=kind, wvar=t, epsabs=epsabs)
-    achieved += e
+        parts = [
+            _panel(f, weighted, a, b, kind, t, opts)
+            for a, b in zip((0.0, *shoulders), shoulders)
+        ]
+        if end > x0:
+            # in u = ln(x/x0), where x f(x) falls like e^-u: a few
+            # Gauss-Kronrod panels span all the decades
+            parts.append(quad(
+                lambda u: x0 * math.exp(u) * weighted(x0 * math.exp(u)),
+                0.0, math.log(end / x0), **opts,
+            ))
+        if t * end >= _TAIL_PHASE:
+            parts.append(quad(f, end, np.inf, weight=kind, wvar=t, epsabs=epsabs))
+        else:
+            # in units of end, so that QUADPACK's map of [1, inf) onto (0, 1]
+            # sees the 1/x^2 decay on its own scale
+            parts.append(quad(lambda y: end * weighted(end * y), 1.0, np.inf, **opts))
+    total = achieved = 0.0
+    for v, e in parts:
+        total += v
+        achieved += e
     if achieved > tol:
-        raise QuadratureError("oscillatory tail did not converge", achieved)
-    return total + tail, achieved
+        raise QuadratureError("quadrature did not reach its tolerance", achieved)
+    return total, achieved
 
 
 def freespace_f00_numeric(

@@ -136,19 +136,10 @@ def solve_spectrum(params: SystemParams) -> Spectrum:
     return Spectrum(omegas=omegas, residuals=residuals)
 
 
-def approx_spectrum_small_cavity(params: SystemParams) -> np.ndarray:
-    """First-order small-cavity frequencies Omega_0..Omega_n_modes.
-
-    Omega_0 = omega_bar*(1 - pi*delta/3) and, for k >= 1,
-    Omega_k = (g/delta)*(k + 2*delta/(pi*k)).  Valid for delta well below
-    one; the Omega_0 line additionally needs delta < 2 g^2/(pi omega_bar^2).
-
-    Raises
-    ------
-    ApproximationDomainError
-        delta >= 0.5, or the Omega_0 validity condition fails.  A warning
-        is emitted for 0.2 < delta < 0.5 where the error grows quickly.
-    """
+def require_small_cavity_domain(params: SystemParams) -> None:
+    """Raise :class:`ApproximationDomainError` outside the first-order
+    small-cavity domain: delta < 0.5 and delta < 2 g^2/(pi omega_bar^2),
+    the condition of the Omega_0 line."""
     d = params.delta
     if d >= 0.5:
         raise ApproximationDomainError(
@@ -159,6 +150,23 @@ def approx_spectrum_small_cavity(params: SystemParams) -> np.ndarray:
             "lowest-mode approximation needs delta < 2*g^2/(pi*omega_bar^2), "
             f"got delta={d}"
         )
+
+
+def approx_spectrum_small_cavity(params: SystemParams) -> np.ndarray:
+    """First-order small-cavity frequencies Omega_0..Omega_n_modes.
+
+    Omega_0 = omega_bar*(1 - pi*delta/3) and, for k >= 1,
+    Omega_k = (g/delta)*(k + 2*delta/(pi*k)).  Valid for delta well below
+    one; the Omega_0 line additionally needs delta < 2 g^2/(pi omega_bar^2).
+
+    Raises
+    ------
+    ApproximationDomainError
+        Outside :func:`require_small_cavity_domain`.  A warning is emitted
+        for 0.2 < delta < 0.5 where the error grows quickly.
+    """
+    require_small_cavity_domain(params)
+    d = params.delta
     if d > 0.2:
         warnings.warn(
             f"small-cavity approximation is crude for delta={d} > 0.2",

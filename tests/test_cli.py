@@ -500,6 +500,14 @@ def test_selftest_passes_at_small_delta(delta):
     assert [f"{r.name}: {r.detail}" for r in results if not r.passed] == []
 
 
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_selftest_checks_only_the_rows_that_exist(n_modes):
+    results = cli.selftest_checks(cli.RunConfig(n_modes=n_modes))
+    assert [r.detail for r in results if r.detail.startswith("raised")] == []
+    (rows,) = [r for r in results if r.name == "unitarity_rows"]
+    assert rows.passed
+
+
 def test_selftest_entropy_check_sees_a_scaled_column(monkeypatch):
     config = cli.RunConfig(n_modes=120)
     params = config.make_params()
@@ -518,6 +526,7 @@ def test_selftest_entropy_check_sees_a_scaled_column(monkeypatch):
 NOT_APPLICABLE = [
     (dict(g=1.5), "freespace_consistency", "no closed form"),
     (dict(delta=0.3), "survival_range_and_bound", "bound not applicable"),
+    (dict(g=0.05), "survival_range_and_bound", "bound not applicable"),
 ]
 
 

@@ -113,9 +113,13 @@ def test_row_norms_of_a_non_unitary_matrix():
             assert np.abs(sums - direct).max() <= bound
 
 
-def test_dimension_mismatch_raises(small_matrix, baseline_spectrum):
+def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectrum):
     with pytest.raises(ConsistencyError):
         dc.amplitude_row(small_matrix, baseline_spectrum, 0, 1.0)
+    omegas = small_spectrum.omegas
+    for wrong in (omegas[:-1], np.append(omegas, omegas[-1] + 1.0)):
+        with pytest.raises(ConsistencyError):
+            dc.row_norms(small_matrix.entries, wrong, 0, [0.0, 1.0])
 
 
 def test_series_at_t0_resums_to_one():
@@ -220,9 +224,15 @@ def test_lower_bound_values():
 
 
 def test_lower_bound_domain():
-    # the bracket 1 - 4 pi d/3 - 4 pi^2 d^2/9 is negative from d ~ 0.198
     with pytest.raises(ApproximationDomainError):
         dc.small_cavity_lower_bound(dc.make_params(1.0, 0.5, delta=0.2))
+    # the bracket 1 - 4 pi d/3 - 4 pi^2 d^2/9 is negative from d ~ 0.198
+    with pytest.raises(ApproximationDomainError, match="negative bracket"):
+        dc.small_cavity_lower_bound(dc.make_params(1.0, 0.9, delta=0.2))
+    # past the series' domain, delta < 2 g^2/(pi omega_bar^2) = 1.6e-3 at
+    # g = 0.05, the exact survival dips to 8e-5 against a "bound" of 0.367
+    with pytest.raises(ApproximationDomainError, match="lowest-mode"):
+        dc.small_cavity_lower_bound(dc.make_params(1.0, 0.05, delta=0.1))
 
 
 def _long_double_phase_sum(omegas, weights, times):

@@ -282,11 +282,27 @@ def test_quadrature_meets_its_tolerance(tol):
     """The quadrature's absolute error stays within tol of the exact value."""
     for g in (0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999):
         p = dc.make_params(1.0, g, delta=0.1)
-        times = np.array([0.0, 0.01, 0.3, 1.0, 3.3, 10.0, 25.0, 40.0, 100.0])
+        times = np.array(
+            [0.0, 1e-300, 1e-12, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3,
+             0.01, 0.3, 1.0, 3.3, 10.0, 25.0, 40.0, 100.0]
+        )
         exact = dc.freespace_f00_closed(p, times)
         for t, reference in zip(times, exact):
             numeric = dc.freespace_f00_numeric(p, float(t), tol=tol)
             assert abs(numeric - reference) <= tol, (g, t)
+
+
+@pytest.mark.parametrize("g", [1.2, 1.5, 3.0])
+def test_strong_coupling_small_t_follows_linear_decay(g):
+    """The weight falls as 1/x^2, so 1 - Re f_00(t) = 2 g t + O(t^2).
+
+    At these t the tail past the shoulders does not oscillate, and QAWF
+    drops such a tail without a warning.
+    """
+    p = dc.make_params(1.0, g, delta=0.1)
+    for t in (1e-300, 1e-12, 1e-8, 1e-6):
+        numeric = dc.freespace_f00_numeric(p, t)
+        assert abs(numeric.real - (1.0 - 2.0 * g * t)) <= 1e-9, t
 
 
 @pytest.mark.parametrize("g", [1.2, 2.0, 3.0])
