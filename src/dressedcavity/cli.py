@@ -111,6 +111,8 @@ class RunConfig:
             raise ValidationError("n_sweep must list at least one mode count")
         if min(self.n_sweep) < 1:
             raise ValidationError("every n_sweep entry must be at least 1")
+        if any(b <= a for a, b in zip(self.n_sweep, self.n_sweep[1:])):
+            raise ValidationError("n_sweep must strictly increase")
 
     def make_params(self, n_modes: Optional[int] = None) -> SystemParams:
         return make_params(

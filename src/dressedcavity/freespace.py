@@ -34,16 +34,25 @@ The pole pairs r, -conj(r) fold the imaginary part into
 in which the fourth-quadrant residue has cancelled against the branch
 jump of E_1.  F is real on the positive real axis, so the factor g/kappa,
 large near g = w, multiplies only Im F, which is of order kappa.
+
+scipy loads at first use, not at import: ``scipy.integrate`` on the first
+quadrature and ``scipy.special`` on the first closed-form evaluation.  The
+cavity side (spectrum, mode matrix, survival, entropy) needs numpy alone,
+and importing ``scipy.integrate`` costs about 0.6 s, several times what a
+default ``spectrum`` or ``convergence`` run computes.  ``quad`` stays a
+public name bound in this module when it is imported, and every
+quadrature calls it through that name, so a caller that replaces
+``freespace.quad`` (a test spy, the benchmark's tracer) sees every call,
+also in a process that has not integrated yet.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1, expi, roots_laguerre
 
 from .errors import ApproximationDomainError, QuadratureError, RegimeError
 from .params import REGIME_WEAK, SystemParams
@@ -58,7 +67,6 @@ _TAIL_PHASE = 1.0  # radians of t x at which QAWF takes the tail
 _PANEL_CAP = 1e12  # the decades past the shoulders stop here at tiny t
 
 # e^z E_1(z) = int_0^inf e^{-u} / (u + z) du by Gauss-Laguerre once |z| >= 2
-_LAGUERRE = roots_laguerre(96)
 _LAGUERRE_MIN_ABS = 2.0
 _LAGUERRE_CHUNK = 4096  # points per (points x nodes) block
 # F(z) by its asymptotic series once |z| >= 60, truncated after (2m)!/z^(2m+1)
@@ -67,6 +75,21 @@ _ASYMPTOTIC_MIN_ABS = 60.0
 _ASYMPTOTIC_TERMS = 15
 # Ei by its power series where g > 10 kappa (z within 0.1 rad of the real axis)
 _EI_SERIES_MIN_RATIO = 10.0
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call."""
+    import scipy.integrate
+
+    return scipy.integrate.quad(*args, **kwargs)
+
+
+@functools.cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 96-point Gauss-Laguerre rule, built once."""
+    from scipy.special import roots_laguerre
+
+    return roots_laguerre(96)
 
 
 def _spectral_weight(params: SystemParams):
@@ -140,6 +163,8 @@ def _fourier_semi_infinite(
     x0 = end = shoulders[-1]
     while t * end < _TAIL_PHASE and end < _PANEL_CAP:
         end *= 10.0
+    from scipy.integrate import IntegrationWarning
+
     # panel-level error budgeting replaces QUADPACK's warning policy
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -206,10 +231,12 @@ def g_integral(params: SystemParams, t: float, tol: float = DEFAULT_TOL) -> floa
 
 def _scaled_exp1(z: np.ndarray) -> np.ndarray:
     """e^z E_1(z) for Re z >= 0 and 0 < |z| < _ASYMPTOTIC_MIN_ABS."""
+    from scipy.special import exp1
+
     out = np.empty_like(z)
     small = np.abs(z) < _LAGUERRE_MIN_ABS
     out[small] = np.exp(z[small]) * exp1(z[small])
-    nodes, weights = _LAGUERRE
+    nodes, weights = _laguerre_rule()
     (idx,) = np.nonzero(~small)
     for s in range(0, idx.size, _LAGUERRE_CHUNK):
         block = idx[s : s + _LAGUERRE_CHUNK]
@@ -254,6 +281,8 @@ def _closed_imag(params: SystemParams, times: np.ndarray) -> np.ndarray:
     if far.any():
         f[far] = _asymptotic_f(z[far])
     if not far.all():
+        from scipy.special import expi
+
         near = z[~far]
         series = g > _EI_SERIES_MIN_RATIO * kappa
         ei = _ei_series(near) if series else expi(near)

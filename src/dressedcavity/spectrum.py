@@ -159,6 +159,13 @@ def approx_spectrum_small_cavity(params: SystemParams) -> np.ndarray:
     Omega_k = (g/delta)*(k + 2*delta/(pi*k)).  Valid for delta well below
     one; the Omega_0 line additionally needs delta < 2 g^2/(pi omega_bar^2).
 
+    The root equation gives Omega_0 = omega_bar*(1 + 2*pi*delta/3)^(-1/2)
+    + O(delta^3/g^2), so the first-order gap |Omega_0 - omega_bar*(1 -
+    pi*delta/3)|/delta^2 tends to pi^2*omega_bar/6 ~ 1.645 as delta -> 0;
+    the negative delta^3 term pulls it to 1.23 at delta = 0.1.  So no
+    envelope c*delta^2 with c < pi^2/6 holds at small delta, and gaps of
+    0.01 at delta = 0.1 or 0.0025 at delta = 0.05 (c <= 1) are out of reach.
+
     Raises
     ------
     ApproximationDomainError

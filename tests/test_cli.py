@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -628,6 +632,8 @@ def test_non_finite_settings_exit_3_without_output(tmp_path, argv):
         ("xi_steps", 0),
         ("n_sweep", ()),
         ("n_sweep", (100, 0, 300)),
+        ("n_sweep", (300, 100)),
+        ("n_sweep", (100, 100)),
         ("tol", float("inf")),
         ("tol", float("nan")),
         ("t_min", float("-inf")),
@@ -638,3 +644,64 @@ def test_validate_rejects_bad_numeric_settings(field, value):
     config = cli.RunConfig(**{field: value})
     with pytest.raises(ValidationError, match=field):
         config.validate()
+
+
+@pytest.mark.parametrize("sweep", ["300,100", "100,100"])
+def test_unsorted_or_repeated_sweep_exits_3_from_flag_and_file(tmp_path, sweep):
+    out = tmp_path / "out"
+    assert cli.main(["convergence", "--n-sweep", sweep, "--out", str(out)]) == 3
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"n_sweep = {sweep}\n")
+    assert cli.main(["convergence", "--config", str(cfg_file), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+_INTEGRATE, _SPECIAL = "scipy.integrate", "scipy.special"
+_CAVITY_COMMANDS = """
+from dressedcavity import cli
+for argv in (
+    ["spectrum", "--n-modes", "300"],
+    ["figure2", "--xi-steps", "1"],
+    ["convergence", "--n-sweep", "100,300"],
+    ["evolve"],
+):
+    assert cli.main(argv) == 0
+"""
+
+
+@pytest.mark.parametrize(
+    "code, loaded, not_loaded",
+    [
+        (_CAVITY_COMMANDS, set(), {_INTEGRATE, _SPECIAL}),
+        (
+            "from dressedcavity import cli\nassert cli.main(['figure1']) == 0",
+            {_SPECIAL},
+            {_INTEGRATE},
+        ),
+        (
+            "import dressedcavity as dc\n"
+            "dc.freespace_f00_numeric(dc.make_params(1.0, 0.5, delta=0.1), 1.0)",
+            {_INTEGRATE},
+            set(),
+        ),
+    ],
+    ids=["cavity_commands", "figure1", "freespace_f00_numeric"],
+)
+def test_scipy_loads_only_where_free_space_is_computed(tmp_path, code, loaded, not_loaded):
+    """Start-up contract, in a fresh interpreter: the cavity side needs numpy
+    alone, the closed form loads scipy.special, quadrature scipy.integrate."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = set(json.loads(done.stdout.splitlines()[-1]))
+    assert loaded <= modules
+    assert not not_loaded & modules
