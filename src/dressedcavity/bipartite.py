@@ -49,7 +49,10 @@ class EntangledStateConfig:
             raise ValidationError(
                 f"xi must lie strictly inside (0, 1), got {self.xi!r}"
             )
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValidationError(f"phi must be finite, got {self.phi!r}")
+        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -67,25 +70,10 @@ class TwoAtomReducedDensity:
         return float(1.0 - np.real(np.trace(self.elements @ self.elements)))
 
 
-@dataclass(frozen=True)
-class SingleAtomReducedDensity:
-    """Reduced matrix of one dressed atom over {ground, excited mode nu}.
-
-    Shape (N+2, N+2): entry [0, 0] is the ground-state weight 1 - xi and
-    the remaining block is the rank-one excitation xi * v v^dagger with
-    v_nu = f_A_nu(t).
-    """
-
-    elements: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.elements)
-
-
 def _check_amplitude(name: str, f: complex) -> complex:
     f = complex(f)
-    if abs(f) > 1.0 + _AMPLITUDE_SLACK:
-        raise PhysicalityError(f"|{name}| = {abs(f)} exceeds 1")
+    if not abs(f) <= 1.0 + _AMPLITUDE_SLACK:  # NaN fails the comparison
+        raise PhysicalityError(f"|{name}| = {abs(f)} is not finite or exceeds 1")
     return f
 
 
@@ -152,12 +140,14 @@ def population_impurity(p):
 
 def single_atom_reduced_density(
     f_row: Sequence[complex], config: EntangledStateConfig
-) -> SingleAtomReducedDensity:
-    """Reduced density matrix of subsystem A from its amplitude row.
+) -> np.ndarray:
+    """Reduced density matrix of one dressed atom from its amplitude row.
 
-    ``f_row`` holds f_A_nu(t) over nu = 0..N (atom first).  The result is
-    (1 - xi) |ground><ground| + xi * v v^dagger on the (N+2)-dimensional
-    basis {ground, one excitation in dressed mode nu}.
+    ``f_row`` holds v_nu = f_A_nu(t) over nu = 0..N (atom first).  The
+    result is the complex (N+2, N+2) array (1 - xi) |ground><ground| +
+    xi * v v^dagger over the basis {ground, one excitation in dressed
+    mode nu}: entry [0, 0] is the ground-state weight 1 - xi, the rest
+    the rank-one excitation block.
     """
     v = np.asarray(f_row, dtype=complex)
     if v.ndim != 1 or v.size < 1:
@@ -166,7 +156,7 @@ def single_atom_reduced_density(
     rho = np.zeros((n + 1, n + 1), dtype=complex)
     rho[0, 0] = 1.0 - config.xi
     rho[1:, 1:] = config.xi * np.outer(v, np.conj(v))
-    return SingleAtomReducedDensity(elements=rho)
+    return rho
 
 
 def von_neumann_entropy(eigenvalues) -> float | np.ndarray:
@@ -254,7 +244,7 @@ def entropy_time_independence_check(
     for i, t in enumerate(times):
         row = amplitude_row(matrix, spectrum, 0, float(t))
         rho = single_atom_reduced_density(row, config)
-        eig = rho.eigenvalues()
+        eig = np.linalg.eigvalsh(rho)
         entropies[i] = von_neumann_entropy(eig)
         eig_defect = max(eig_defect, float(np.abs(eig[-2:] - target).max()))
     analytic = analytic_entropy(config.xi)

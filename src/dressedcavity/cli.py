@@ -17,6 +17,10 @@ The commands compute through the library: the atom row T[0, :] by
 ``bipartite.rank_two_entropy``.  Evolve's entropy takes
 s = sum_nu |f_0_nu(t)|^2 as sum_s T[0, s]^2 at every t, which it equals
 for the orthogonal repaired T (T^T T = I, |exp(-i Omega_s t)| = 1).
+Free space takes the whole time grid in one library call
+(``freespace.freespace_f00_numeric``, ``freespace_f00_closed`` or
+``freespace_survival_asymptotic``), and the library refuses the times
+outside its domain, such as t <= 0 for the asymptotic form (exit 3).
 The full matrix of ``modes.build_matrix`` is formed only by
 ``spectrum --dump-matrix`` and ``selftest``; the selftest checks that
 identity time by time with ``evolution.row_norms`` and also runs the
@@ -229,23 +233,12 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def _freespace_numeric(params: SystemParams, times, tol: float) -> np.ndarray:
-    """Free-space f_00 by quadrature, one call per time (any coupling)."""
-    return np.array(
-        [freespace.freespace_f00_numeric(params, float(t), tol=tol) for t in times]
-    )
-
-
 def cmd_evolve(config: RunConfig) -> int:
     params = config.make_params()
     times = config.time_grid()
     entropies = np.full(times.size, bipartite.analytic_entropy(config.xi))
 
     if config.mode == "free_space_asymptotic":
-        if config.t_min <= 0.0:
-            raise ValidationError(
-                "free_space_asymptotic needs t_min > 0 (diverges at t = 0)"
-            )
         abs2 = freespace.freespace_survival_asymptotic(params, times)
         f00 = np.full(times.size, complex(np.nan, np.nan))  # no phase
     else:
@@ -263,7 +256,7 @@ def cmd_evolve(config: RunConfig) -> int:
         elif config.mode == "free_space_closed":
             f00 = freespace.freespace_f00_closed(params, times)
         else:
-            f00 = _freespace_numeric(params, times, config.tol)
+            f00 = freespace.freespace_f00_numeric(params, times, config.tol)
         abs2 = np.abs(f00) ** 2
 
     # identical atoms: the two-atom population is |f_00|^2
@@ -286,7 +279,7 @@ def cmd_figure1(config: RunConfig) -> int:
         evolution.survival_from_row(row, spec, times)
     )
     if params.regime == REGIME_STRONG:  # no closed form for g >= omega_bar
-        free = _freespace_numeric(params, times, config.tol)
+        free = freespace.freespace_f00_numeric(params, times, config.tol)
     else:
         free = freespace.freespace_f00_closed(params, times)
     d_free = bipartite.population_impurity(np.abs(free) ** 2)
@@ -481,11 +474,10 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
     def freespace_consistency():
         if params.regime == REGIME_STRONG:
             return True, "not applicable: no closed form for g >= omega_bar"
-        worst = 0.0
-        for t in (0.5, 5.0, 12.0):
-            numeric = freespace.freespace_f00_numeric(params, t, tol=1e-9)
-            closed = freespace.freespace_f00_closed(params, t)
-            worst = max(worst, abs(numeric - closed))
+        times = np.array([0.5, 5.0, 12.0])
+        numeric = freespace.freespace_f00_numeric(params, times, tol=1e-9)
+        closed = freespace.freespace_f00_closed(params, times)
+        worst = float(np.abs(numeric - closed).max())
         return worst < 1e-6, f"max |numeric - closed| {worst:.2e}"
 
     check("freespace_consistency", freespace_consistency)

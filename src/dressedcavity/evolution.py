@@ -39,6 +39,8 @@ sum_s T[0, s]^2 in exact arithmetic.  ``cli evolve`` takes that constant;
 check of the identity (``cli selftest``, ``unitarity_defect``).
 
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
+A row or matrix passed in with roots must have one column per root; one
+check, ``_check_pair``, refuses any other with :class:`ConsistencyError`.
 """
 
 from __future__ import annotations
@@ -62,11 +64,13 @@ _TIME_CHUNK = 256
 _UNIFORM_ULPS = 4
 
 
-def _check_pair(matrix: ModeMatrix, spectrum: Spectrum) -> None:
-    if matrix.entries.shape[1] != spectrum.omegas.size:
+def _check_pair(columns: np.ndarray, omegas: np.ndarray, ndim: int) -> None:
+    """Refuse a mode array, an atom row (``ndim`` 1) or a matrix (2), whose
+    columns do not pair one to one with the roots ``omegas``."""
+    if columns.ndim != ndim or columns.shape[-1] != omegas.size:
         raise ConsistencyError(
-            f"mode matrix has {matrix.entries.shape[1]} columns but spectrum "
-            f"has {spectrum.omegas.size} roots"
+            f"mode array of shape {columns.shape} does not pair with "
+            f"{omegas.size} roots"
         )
 
 
@@ -130,7 +134,7 @@ def amplitude_row(
 
     Negative t is accepted: f_mu_nu(-t) = conj(f_mu_nu(t)).
     """
-    _check_pair(matrix, spectrum)
+    _check_pair(matrix.entries, spectrum.omegas, 2)
     phased = matrix.entries[mu] * np.exp(-1j * spectrum.omegas * t)
     return matrix.entries @ phased
 
@@ -138,11 +142,7 @@ def amplitude_row(
 def atom_amplitude(row: np.ndarray, spectrum: Spectrum, t) -> np.ndarray:
     """Complex f_00(t) = sum_s row[s]^2 exp(-i Omega_s t) on a scalar or grid
     of times, from the atom row T[0, :] alone (``modes.atom_row``)."""
-    if row.shape != spectrum.omegas.shape:
-        raise ConsistencyError(
-            f"atom row has {row.size} entries but spectrum has "
-            f"{spectrum.omegas.size} roots"
-        )
+    _check_pair(row, spectrum.omegas, 1)
     return _phase_sum(spectrum.omegas, row**2, t)
 
 
@@ -170,11 +170,7 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     phases times the weighted offset table (module docstring), with no
     further exponential, and takes two real matrix products.
     """
-    if entries.shape[1] != omegas.size:
-        raise ConsistencyError(
-            f"mode matrix has {entries.shape[1]} columns but {omegas.size} "
-            "frequencies were given"
-        )
+    _check_pair(entries, omegas, 2)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     table, starts = _grid_factors(omegas, entries[mu], times)
     b = table.shape[1]
@@ -193,7 +189,6 @@ def unitarity_defect(
     matrix: ModeMatrix, spectrum: Spectrum, mu: int, times
 ) -> float:
     """max over the given times of |1 - sum_nu |f_mu_nu(t)|^2|."""
-    _check_pair(matrix, spectrum)
     sums = row_norms(matrix.entries, spectrum.omegas, mu, times)
     return float(np.abs(1.0 - sums).max())
 

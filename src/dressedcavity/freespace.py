@@ -5,17 +5,21 @@ When the cavity radius grows without bound the mode sum for f_00 becomes
     f_00(t) = (4g/pi) * int_0^inf  x^2 e^{-i x t} / [(x^2-w^2)^2 + 4g^2x^2] dx
 
 with w the renormalized atom frequency.  It is evaluated in two
-independent ways.
+independent ways, and the large-time survival has an asymptotic form.
+All three take t as a scalar or a grid, and one check
+(``_checked_times``) refuses, before anything is computed, any t that is
+not finite and >= 0, or > 0 for the asymptotic form.
 
-Quadrature, any coupling, one rule for every t >= 0.  The integrand has a
-resonance shoulder of width ~g around w and a 1/x^2 tail.  Adaptive panels
-run between the shoulder points {w-2g, w+2g, ...}, then, in ln x, decade
-by decade while t x < 1 (up to x = 1e12, which stops t = 0).  Only a tail
-that starts at t x >= 1 goes to QUADPACK's Fourier-integral routine QAWF
-(Piessens et al., QUADPACK, 1983), which sums it period by period and
-extrapolates with the epsilon algorithm; QAWF drops a tail that does not
-oscillate without a warning (numbers in _fourier_semi_infinite).  Any
-other tail goes to plain adaptive quadrature.
+Quadrature, any coupling, one rule for every t >= 0, one time of a grid
+at a time.  The integrand has a resonance shoulder of width ~g around w
+and a 1/x^2 tail.  Adaptive panels run between the shoulder points
+{w-2g, w+2g, ...}, then, in ln x, decade by decade while t x < 1 (up to
+x = 1e12, which stops t = 0).  Only a tail that starts at t x >= 1 goes
+to QUADPACK's Fourier-integral routine QAWF (Piessens et al., QUADPACK,
+1983), which sums it period by period and extrapolates with the epsilon
+algorithm; QAWF drops a tail that does not oscillate without a warning
+(numbers in _fourier_semi_infinite).  Any other tail goes to plain
+adaptive quadrature.
 
 Closed form, weak coupling (g < w, kappa = sqrt(w^2 - g^2)).  The
 denominator has the roots r = +-kappa +- ig, and partial fractions give
@@ -194,39 +198,52 @@ def _fourier_semi_infinite(
     return total, achieved
 
 
-def freespace_f00_numeric(
-    params: SystemParams, t: float, tol: float = DEFAULT_TOL
-) -> complex:
+def _checked_times(t, positive: bool = False) -> np.ndarray:
+    """``t``, a scalar or a grid, as a float array of at least one axis.
+
+    Raises :class:`ApproximationDomainError` unless every t is finite and
+    >= 0, or > 0 with ``positive``.
+    """
+    times = np.array(t, dtype=float, ndmin=1)
+    low = times > 0.0 if positive else times >= 0.0
+    if not (low & (times < np.inf)).all():  # NaN fails both comparisons
+        raise ApproximationDomainError(
+            "asymptotic form needs t > 0 (finite; it diverges at t = 0)"
+            if positive
+            else "t must be finite and non-negative"
+        )
+    return times
+
+
+def freespace_f00_numeric(params: SystemParams, t, tol: float = DEFAULT_TOL):
     """Free-space f_00(t) by direct quadrature, any coupling regime.
 
     Real part (4g/pi) * cos transform, imaginary part -(4g/pi) * sin
     transform of the spectral weight, each to absolute accuracy ``tol``.
+    ``t`` is a scalar (returns a complex) or a grid (returns an array).
     Raises :class:`QuadratureError` before integrating when the budget
     per transform, tol * pi/(4g), lies below 1e-13.
     """
-    if not 0.0 <= t < np.inf:  # also rejects NaN
-        raise ApproximationDomainError("t must be finite and non-negative")
+    times = _checked_times(t)
     pref = 4.0 * params.g / np.pi
-    re, _ = _fourier_semi_infinite(params, t, "cos", tol=tol / pref)
-    im, _ = _fourier_semi_infinite(params, t, "sin", tol=tol / pref)
-    return complex(pref * re, -pref * im)
+    out = np.empty(times.shape, dtype=complex)
+    for i, s in enumerate(times.ravel().tolist()):
+        re, _ = _fourier_semi_infinite(params, s, "cos", tol=tol / pref)
+        im, _ = _fourier_semi_infinite(params, s, "sin", tol=tol / pref)
+        out.flat[i] = complex(pref * re, -pref * im)
+    return complex(out[0]) if np.ndim(t) == 0 else out
 
 
-def g_integral(params: SystemParams, t: float, tol: float = DEFAULT_TOL) -> float:
+def g_integral(params: SystemParams, t, tol: float = DEFAULT_TOL):
     """Imaginary part of the free-space amplitude,
 
     G(t) = -(4g/pi) * int_0^inf x^2 sin(x t) / [(x^2-w^2)^2 + 4g^2x^2] dx,
 
-    by quadrature to absolute accuracy ``tol``, in any coupling regime,
-    with the tolerance floor of :func:`freespace_f00_numeric`.
-    G(0) = 0 exactly.  For weak coupling :func:`freespace_f00_closed` has
-    G in closed form.
+    which is ``freespace_f00_numeric(params, t, tol).imag``: a float for a
+    scalar t, an array for a grid.  G(0) = 0 exactly.  For weak coupling
+    :func:`freespace_f00_closed` has G in closed form.
     """
-    if not 0.0 <= t < np.inf:  # also rejects NaN
-        raise ApproximationDomainError("t must be finite and non-negative")
-    pref = 4.0 * params.g / np.pi
-    val, _ = _fourier_semi_infinite(params, t, "sin", tol=tol / pref)
-    return -pref * val
+    return freespace_f00_numeric(params, t, tol).imag
 
 
 def _scaled_exp1(z: np.ndarray) -> np.ndarray:
@@ -304,9 +321,7 @@ def freespace_f00_closed(params: SystemParams, t):
         raise RegimeError(
             "closed form needs g < omega_bar; use freespace_f00_numeric"
         )
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(times >= 0.0):  # also rejects NaN
-        raise ApproximationDomainError("t must be non-negative")
+    times = _checked_times(t)
     kappa = params.kappa
     g = params.g
     re = np.exp(-g * times) * (
@@ -326,9 +341,7 @@ def freespace_survival_asymptotic(params: SystemParams, t):
     """
     if params.regime != REGIME_WEAK:
         raise RegimeError("asymptotic form needs g < omega_bar")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(times > 0.0):
-        raise ApproximationDomainError("asymptotic form needs t > 0")
+    times = _checked_times(t, positive=True)
     w = params.omega_bar
     g = params.g
     osc = np.exp(-2.0 * g * times) * (

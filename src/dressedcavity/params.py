@@ -14,6 +14,7 @@ Units are natural (hbar = 1, c = 1), so ``radius`` is R/c.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,12 +72,17 @@ def make_params(
     Raises
     ------
     ValidationError
-        A non-positive or non-finite input; the message names the field.
+        A non-positive or non-finite input, or an ``n_modes`` that is a
+        bool or not integral; the message names the field.
     """
     omega_bar = _require_positive("omega_bar", omega_bar)
     g = _require_positive("g", g)
     delta = _require_positive("delta", delta)
-    if not isinstance(n_modes, int) or n_modes < 1:
+    try:  # any integral type, np.int64 included, but not bool
+        count = None if isinstance(n_modes, bool) else operator.index(n_modes)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
         raise ValidationError(f"n_modes must be an integer >= 1, got {n_modes!r}")
     delta_omega = g / delta
 
@@ -92,7 +98,7 @@ def make_params(
         omega_bar=omega_bar,
         g=g,
         radius=math.pi / delta_omega,
-        n_modes=n_modes,
+        n_modes=count,
         delta=delta,
         delta_omega=delta_omega,
         eta=eta,

@@ -129,12 +129,30 @@ def test_amplitude_magnitude_guard():
         dc.impurity(0.2, -1.2, cfg)
 
 
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(np.nan, 0.0), complex(0.1, np.inf)]
+)
+def test_non_finite_amplitude_rejected(bad):
+    cfg = dc.EntangledStateConfig(xi=0.5)
+    for f_aa, f_bb in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(PhysicalityError, match="not finite"):
+            dc.impurity(f_aa, f_bb, cfg)
+        with pytest.raises(PhysicalityError, match="not finite"):
+            dc.two_atom_reduced_density(f_aa, f_bb, cfg)
+
+
+@pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+def test_non_finite_phi_rejected(phi):
+    with pytest.raises(ValidationError, match="phi"):
+        dc.EntangledStateConfig(xi=0.5, phi=phi)
+
+
 def test_single_atom_density_at_t0():
     cfg = dc.EntangledStateConfig(xi=0.3)
     f_row = np.zeros(6, dtype=complex)
     f_row[0] = 1.0
     rho = dc.single_atom_reduced_density(f_row, cfg)
-    diag = np.real(np.diag(rho.elements))
+    diag = np.real(np.diag(rho))
     assert diag[0] == pytest.approx(0.7, abs=1e-15)
     assert diag[1] == pytest.approx(0.3, abs=1e-15)
     assert np.abs(diag[2:]).max() == 0.0
@@ -143,12 +161,11 @@ def test_single_atom_density_at_t0():
 def test_single_atom_density_structure(small_matrix, small_spectrum):
     cfg = dc.EntangledStateConfig(xi=0.3)
     row = dc.amplitude_row(small_matrix, small_spectrum, 0, 7.0)
-    rho = dc.single_atom_reduced_density(row, cfg)
-    m = rho.elements
+    m = dc.single_atom_reduced_density(row, cfg)
     assert np.abs(m - m.conj().T).max() < 1e-14
     norm = float(np.sum(np.abs(row) ** 2))
     assert np.real(np.trace(m)) == pytest.approx(1.0 - 0.3 + 0.3 * norm, abs=1e-12)
-    eig = rho.eigenvalues()
+    eig = np.linalg.eigvalsh(m)
     # rank two: projector plus a rank-one block
     assert np.abs(eig[:-2]).max() < 1e-12
     assert eig[-2:] == pytest.approx([0.3 * norm, 0.7], abs=1e-12)

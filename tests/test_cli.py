@@ -296,7 +296,7 @@ def test_cmd_evolve_free_space_closed_matches_scalar_calls(tmp_path):
     assert np.array_equal(rows[:, 2], scalars.imag)
 
 
-def test_cmd_evolve_asymptotic_needs_positive_start(tmp_path):
+def test_cmd_evolve_asymptotic_needs_positive_start(tmp_path, capsys):
     rc = cli.main(
         [
             "evolve", "--mode", "free_space_asymptotic", "--t-max", "50",
@@ -304,6 +304,8 @@ def test_cmd_evolve_asymptotic_needs_positive_start(tmp_path):
         ]
     )
     assert rc == 3  # t grid touches the t=0 pole
+    assert "asymptotic form needs t > 0" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
     rc = cli.main(
         [
             "evolve", "--mode", "free_space_asymptotic", "--t-min", "10",

@@ -117,9 +117,18 @@ def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectr
     with pytest.raises(ConsistencyError):
         dc.amplitude_row(small_matrix, baseline_spectrum, 0, 1.0)
     omegas = small_spectrum.omegas
+    row = small_matrix.entries[0]
     for wrong in (omegas[:-1], np.append(omegas, omegas[-1] + 1.0)):
-        with pytest.raises(ConsistencyError):
+        spec = dc.Spectrum(omegas=wrong, residuals=np.zeros(wrong.size))
+        with pytest.raises(ConsistencyError, match="pair"):
             dc.row_norms(small_matrix.entries, wrong, 0, [0.0, 1.0])
+        with pytest.raises(ConsistencyError, match="pair"):
+            dc.atom_amplitude(row, spec, [0.0, 1.0])
+        with pytest.raises(ConsistencyError, match="pair"):
+            dc.unitarity_defect(small_matrix, spec, 0, [0.0, 1.0])
+    # a row must be one row, even when its last axis pairs with the roots
+    with pytest.raises(ConsistencyError, match="pair"):
+        dc.atom_amplitude(small_matrix.entries[:2], small_spectrum, 1.0)
 
 
 def test_series_at_t0_resums_to_one():

@@ -227,6 +227,43 @@ def test_negative_time_rejected(weak):
             dc.freespace_f00_closed(weak, np.array([0.0, 1.0, bad, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "name, bad_times",
+    [
+        ("freespace_f00_numeric", (np.inf, np.nan, -1.0)),
+        ("g_integral", (np.inf, np.nan, -1.0)),
+        ("freespace_f00_closed", (np.inf, np.nan, -1.0)),
+        ("freespace_survival_asymptotic", (np.inf, np.nan, -1.0, 0.0)),
+    ],
+)
+def test_every_free_space_function_refuses_bad_times(
+    monkeypatch, weak, name, bad_times
+):
+    calls = []
+    monkeypatch.setattr(freespace, "quad", lambda *a, **k: calls.append(a))
+    fn = getattr(dc, name)
+    for bad in bad_times:
+        for t in (bad, np.array([1.0, bad, 2.0])):
+            with pytest.raises(ApproximationDomainError):
+                fn(weak, t)
+    assert calls == []
+
+
+def test_numeric_grid_equals_scalar_calls():
+    times = np.array([0.0, 1e-300, 1e-8, 0.3, 2.0, 17.0, 445.9])
+    for g in (0.05, 0.5, 1.5):
+        p = dc.make_params(1.0, g, delta=0.1)
+        grid = dc.freespace_f00_numeric(p, times)
+        scalars = [dc.freespace_f00_numeric(p, float(t)) for t in times]
+        assert all(type(value) is complex for value in scalars)
+        assert grid.dtype == complex and grid.shape == times.shape
+        assert np.array_equal(grid.view(float), np.array(scalars).view(float))
+        g_grid = dc.g_integral(p, times)
+        assert np.array_equal(g_grid, grid.imag)
+        assert type(dc.g_integral(p, 2.0)) is float
+        assert dc.freespace_f00_numeric(p, np.array([2.0])).shape == (1,)
+
+
 def test_survival_from_closed_decays(weak):
     # dissipation: the free-space survival at t=100 is far below 1e-3
     f100 = dc.freespace_f00_closed(weak, 100.0)

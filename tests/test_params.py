@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +60,15 @@ def test_the_cavity_is_delta_alone():
 def test_bad_n_modes_rejected():
     with pytest.raises(ValidationError, match="n_modes"):
         dc.make_params(1.0, 0.5, delta=0.1, n_modes=0)
+
+
+def test_n_modes_takes_any_integral_type_but_bool():
+    for n in (300, np.int64(300), np.int32(300), np.uint16(300)):
+        p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+        assert type(p.n_modes) is int and p.n_modes == 300
+    for bad in (True, False, np.bool_(True), 300.0, np.float64(3.0), "300", None):
+        with pytest.raises(ValidationError, match="n_modes"):
+            dc.make_params(1.0, 0.5, delta=0.1, n_modes=bad)
 
 
 def test_params_immutable():
