@@ -10,19 +10,23 @@ over the normal modes s.  With the orthogonalized mode matrix the family
 f_mu_nu is exactly unitary at any truncation: f_mu_nu(0) = delta_mu_nu and
 sum_nu |f_mu_nu(t)|^2 = 1 for all t, to machine precision.
 
-Mode sums over a time grid factor each phase.  On a uniform grid
+Sums over one weight vector factor each phase on a uniform time grid:
+``_phase_sum``, which gives the atom row and the first-order series.  For
 t_j = t_0 + j h, cut into blocks of B = ceil(sqrt(T)) times, the time
 t_{bB+k} is the block start t_{bB} plus the offset k h, so
 
     exp(-i Omega_s t_{bB+k}) = exp(-i Omega_s t_{bB}) * exp(-i Omega_s k h).
 
 The B offset phases per mode are exponentiated once per grid and the
-block-start phases once per block; matrix products combine them.  That
-takes about 2 sqrt(T) (N+1) complex exponentials instead of T (N+1), and
-the result agrees with the direct sum to the same order of roundoff,
-eps * Omega_s * t (see :func:`_phase_sum`).  Any other grid takes B = 1,
-which is the direct sum through the same code.  Temporaries hold
-O((B + ``_TIME_CHUNK``) (N+1)) phases whatever the length of the grid.
+block-start phases once per block, about 2 sqrt(T) (N+1) complex
+exponentials instead of T (N+1), with the roundoff of the direct sum,
+eps * Omega_s * t.  Any other grid takes B = 1, the direct sum.
+
+Whole rows f_mu_nu over every nu (:func:`amplitude_row`, :func:`row_norms`)
+take direct phases and two real products with the mode matrix
+(``_row_parts``): their T (N+1) exponentials cost less than the
+2 T (N+1)^2 flops of the products.  Temporaries hold
+O((B + ``_TIME_CHUNK``) (N+1)) numbers whatever the length of the grid.
 
 The atom's own amplitude f_00 needs only the atom row T[0, :]:
 :func:`atom_amplitude` is its mode sum, and :func:`survival_from_row` its
@@ -79,17 +83,25 @@ def _phases(omegas: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.outer(omegas, times))
 
 
-def _grid_factors(omegas: np.ndarray, weights: np.ndarray, times: np.ndarray):
-    """Weighted offset table and block starts of a time grid.
+def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """sum_s weights[s] * exp(-i * omegas[s] * t) for every t of the grid.
 
-    Returns (table, starts): ``table[s, k] = weights[s] exp(-i omegas[s]
-    k h)`` for k < B, whose column k = 0 is ``weights`` itself and is not
-    exponentiated, and ``starts = times[::B]``.  The grid counts as
-    uniform, with B = ceil(sqrt(T)), when it has more than two points and
-    each t_j lies within ``_UNIFORM_ULPS`` ulps of t_0 + j h, where
-    h = (t_{T-1} - t_0)/(T - 1); ``np.linspace`` output passes.  Any
-    other grid takes B = 1.
+    A grid is uniform, with B = ceil(sqrt(T)), when it has more than two
+    points and each t_j lies within ``_UNIFORM_ULPS`` ulps of t_0 + j h,
+    h = (t_{T-1} - t_0)/(T - 1) (``np.linspace`` output passes); any other
+    grid takes B = 1.  ``table[s, k] = weights[s] exp(-i omegas[s] k h)``
+    for k < B, whose column 0 is ``weights`` itself, and the block-start
+    phases V[s, b] = exp(-i omegas[s] t_{bB}) give the sums block by block
+    as ``V.T @ table``, up to ``max(_TIME_CHUNK, B)`` blocks per product:
+    one product for any uniform grid.  Each factor carries a phase error of
+    order eps * omegas[s] * t, as the direct phase does, and a uniform t_j
+    differs from t_{bB} + k h by a few ulps of the largest t.  Against a
+    long-double reference the error stays within 2 eps sum_s |weights[s]|
+    (1 + omegas[s] t_max); measured up to 0.30 of that on uniform grids,
+    against 0.11 for the direct sum
+    (``test_phase_sum_matches_long_double_reference``).
     """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     n = times.size
     b, h = 1, 0.0
     if n > 2:
@@ -100,31 +112,19 @@ def _grid_factors(omegas: np.ndarray, weights: np.ndarray, times: np.ndarray):
     table = np.empty((omegas.size, b), dtype=complex)
     table[:, 0] = weights
     table[:, 1:] = weights[:, None] * _phases(omegas, h * np.arange(1, b))
-    return table, times[::b]
-
-
-def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
-    """sum_s weights[s] * exp(-i * omegas[s] * t) for every t of the grid.
-
-    The block-start phases V[s, b] = exp(-i omegas[s] t_{bB}) times the
-    weighted offset table give the sums block by block: ``V.T @ table`` is
-    (blocks x B), one complex matrix product for up to
-    ``max(_TIME_CHUNK, B)`` blocks, so a single product for any uniform
-    grid, whose ceil(T/B) blocks never outnumber B.  Each factor carries a phase error of order
-    eps * omegas[s] * t, as the direct exp(-i omegas[s] t) does, and a
-    uniform grid's t_j differs from t_{bB} + k h by a few ulps of the
-    largest t.  Against a long-double reference the error stays within
-    2 eps sum_s |weights[s]| (1 + omegas[s] t_max); measured up to 0.30 of
-    that on uniform grids, against 0.11 for the direct sum
-    (``test_phase_sum_matches_long_double_reference``).
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    table, starts = _grid_factors(omegas, weights, times)
-    sums = np.empty((starts.size, table.shape[1]), dtype=complex)
-    step = max(_TIME_CHUNK, table.shape[1])
+    starts = times[::b]
+    sums = np.empty((starts.size, b), dtype=complex)
+    step = max(_TIME_CHUNK, b)
     for i in range(0, starts.size, step):
         sums[i : i + step] = _phases(omegas, starts[i : i + step]).T @ table
-    return sums.ravel()[: times.size]
+    return sums.ravel()[:n]
+
+
+def _row_parts(entries: np.ndarray, omegas: np.ndarray, mu: int, times: np.ndarray):
+    """Real and imaginary parts of f_mu_nu(t), (N+1) x times each, as two
+    real products of ``entries`` with the phased row ``entries[mu]``."""
+    x = entries[mu][:, None] * _phases(omegas, times)
+    return entries @ x.real, entries @ x.imag
 
 
 def amplitude_row(
@@ -135,8 +135,8 @@ def amplitude_row(
     Negative t is accepted: f_mu_nu(-t) = conj(f_mu_nu(t)).
     """
     _check_pair(matrix.entries, spectrum.omegas, 2)
-    phased = matrix.entries[mu] * np.exp(-1j * spectrum.omegas * t)
-    return matrix.entries @ phased
+    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, np.array([float(t)]))
+    return re[:, 0] + 1j * im[:, 0]
 
 
 def atom_amplitude(row: np.ndarray, spectrum: Spectrum, t) -> np.ndarray:
@@ -164,25 +164,16 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     """sum_nu |f_mu_nu(t)|^2 for every t, evaluated without rank shortcuts.
 
     ``entries`` is any (N+1)^2 mode matrix whose columns pair with
-    ``omegas``, so the unrepaired matrix passes through the same sum.  The
-    grid is taken in chunks of whole blocks, at most ``_TIME_CHUNK`` times
-    or one block.  Each chunk's weighted phase matrix is its block-start
-    phases times the weighted offset table (module docstring), with no
-    further exponential, and takes two real matrix products.
+    ``omegas``, so the unrepaired matrix passes through the same sum,
+    taken ``_TIME_CHUNK`` times at a time.
     """
     _check_pair(entries, omegas, 2)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    table, starts = _grid_factors(omegas, entries[mu], times)
-    b = table.shape[1]
-    step = max(1, _TIME_CHUNK // b)
-    sums = np.empty(starts.size * b)
-    for i in range(0, starts.size, step):
-        v = _phases(omegas, starts[i : i + step])
-        x = (v[:, :, None] * table[:, None, :]).reshape(omegas.size, -1)
-        yr = entries @ x.real
-        yi = entries @ x.imag
-        sums[i * b : (i + step) * b] = (yr**2 + yi**2).sum(axis=0)
-    return sums[: times.size]
+    sums = np.empty(times.size)
+    for i in range(0, times.size, _TIME_CHUNK):
+        yr, yi = _row_parts(entries, omegas, mu, times[i : i + _TIME_CHUNK])
+        sums[i : i + _TIME_CHUNK] = (yr**2 + yi**2).sum(axis=0)
+    return sums
 
 
 def unitarity_defect(

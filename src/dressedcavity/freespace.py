@@ -147,14 +147,9 @@ def _fourier_semi_infinite(
     no warning.  Any other tail goes to plain adaptive quadrature.
 
     Returns (value, achieved error estimate), the sum of the pieces'
-    estimates, and raises QuadratureError when it exceeds ``tol``.  A
-    ``tol`` below ``_EPSABS_FLOOR`` is refused before any integration.
+    estimates, and raises QuadratureError when it exceeds ``tol``, which
+    the caller has checked against ``_EPSABS_FLOOR``.
     """
-    if not _EPSABS_FLOOR <= tol < np.inf:
-        raise QuadratureError(
-            f"tolerance must be finite and at least {_EPSABS_FLOOR:g} per "
-            "transform"
-        )
     f = _spectral_weight(params)
     trig = np.cos if kind == "cos" else np.sin
 
@@ -221,15 +216,21 @@ def freespace_f00_numeric(params: SystemParams, t, tol: float = DEFAULT_TOL):
     Real part (4g/pi) * cos transform, imaginary part -(4g/pi) * sin
     transform of the spectral weight, each to absolute accuracy ``tol``.
     ``t`` is a scalar (returns a complex) or a grid (returns an array).
-    Raises :class:`QuadratureError` before integrating when the budget
-    per transform, tol * pi/(4g), lies below 1e-13.
+    Raises :class:`QuadratureError`, before integrating and even on an
+    empty grid, unless tol * pi/(4g) per transform is finite and >= 1e-13.
     """
     times = _checked_times(t)
     pref = 4.0 * params.g / np.pi
+    budget = tol / pref
+    if not _EPSABS_FLOOR <= budget < np.inf:  # NaN fails both comparisons
+        raise QuadratureError(
+            f"tolerance must be finite and at least {_EPSABS_FLOOR:g} per "
+            "transform"
+        )
     out = np.empty(times.shape, dtype=complex)
     for i, s in enumerate(times.ravel().tolist()):
-        re, _ = _fourier_semi_infinite(params, s, "cos", tol=tol / pref)
-        im, _ = _fourier_semi_infinite(params, s, "sin", tol=tol / pref)
+        re, _ = _fourier_semi_infinite(params, s, "cos", tol=budget)
+        im, _ = _fourier_semi_infinite(params, s, "sin", tol=budget)
         out.flat[i] = complex(pref * re, -pref * im)
     return complex(out[0]) if np.ndim(t) == 0 else out
 
@@ -336,8 +337,8 @@ def freespace_survival_asymptotic(params: SystemParams, t):
 
     e^{-2gt} [cos(w t) - (g/w) sin(w t)]^2 + 64 g^2 / (w^8 t^6),
 
-    on a scalar (returns a float) or a grid (returns an array).  Undefined
-    at t = 0 because of the t^(-6) term.
+    on a scalar (returns a float) or a grid (returns an array).  Refused
+    at t = 0, and at any t > 0 where the t^(-6) term is not a finite float.
     """
     if params.regime != REGIME_WEAK:
         raise RegimeError("asymptotic form needs g < omega_bar")
@@ -347,5 +348,10 @@ def freespace_survival_asymptotic(params: SystemParams, t):
     osc = np.exp(-2.0 * g * times) * (
         np.cos(w * times) - (g / w) * np.sin(w * times)
     ) ** 2
-    out = osc + 64.0 * g**2 / (w**8 * times**6)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = osc + 64.0 * g**2 / (w**8 * times**6)
+    if not np.isfinite(out).all():
+        raise ApproximationDomainError(
+            f"asymptotic form overflows at t = {times.min():g}"
+        )
     return float(out[0]) if np.ndim(t) == 0 else out

@@ -25,6 +25,31 @@ def test_amplitude_symmetric_in_indices(small_matrix, small_spectrum):
     assert a == pytest.approx(b, abs=1e-15)
 
 
+def test_amplitude_row_matches_the_complex_product(
+    baseline_matrix, baseline_spectrum
+):
+    entries, omegas = baseline_matrix.entries, baseline_spectrum.omegas
+    for mu in (0, 1, baseline_spectrum.n_modes):
+        for t in (-5.0, 0.0, 50.0):
+            row = dc.amplitude_row(baseline_matrix, baseline_spectrum, mu, t)
+            direct = entries @ (entries[mu] * np.exp(-1j * omegas * t))
+            assert row.dtype == complex and row.shape == direct.shape
+            assert np.abs(row - direct).max() <= 1e-14
+    # one time per call: a grid is refused, not read at its first time
+    with pytest.raises(TypeError):
+        dc.amplitude_row(baseline_matrix, baseline_spectrum, 0, np.array([1.0, 2.0]))
+
+
+def test_amplitude_row_makes_no_complex_copy_of_the_matrix(
+    baseline_matrix, baseline_spectrum
+):
+    """A complex copy of the N=1000 mode matrix alone is 16 MB."""
+    peak = _traced_peak_bytes(
+        dc.amplitude_row, baseline_matrix, baseline_spectrum, 0, 10.0
+    )
+    assert peak < 1e6
+
+
 def test_unitarity_rows(baseline_matrix, baseline_spectrum):
     for mu in (0, 1, 5):
         defect = dc.unitarity_defect(
@@ -95,7 +120,7 @@ def test_row_norms_match_amplitude_rows(n_modes):
 
 def test_row_norms_of_a_non_unitary_matrix():
     """Row sums that vary in time (0.6 to 2.5 here) pin the order of the
-    factored time blocks; measured error at most 0.2 of the bound."""
+    time chunks; measured error at most 0.2 of the bound."""
     n = 30
     omegas = dc.solve_spectrum(dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)).omegas
     entries = np.random.default_rng(3).normal(size=(n + 1, n + 1)) / np.sqrt(n + 1)
@@ -317,7 +342,7 @@ def _count_exponentiated(monkeypatch):
 
 @pytest.mark.parametrize("size", [3, 257, 4001, 20001])
 def test_uniform_grids_take_the_factored_phases(
-    size, monkeypatch, baseline_matrix, baseline_spectrum, small_matrix, small_spectrum
+    size, monkeypatch, baseline_matrix, baseline_spectrum
 ):
     counted = _count_exponentiated(monkeypatch)
     times = np.linspace(0.0, 100.0, size)
@@ -327,9 +352,6 @@ def test_uniform_grids_take_the_factored_phases(
     series_params = dc.make_params(1.0, 0.5, delta=0.1)
     dc.small_cavity_amplitude_first_order(series_params, times, 1000)
     assert counted[0] < 3 * np.sqrt(size) * 1000
-    counted[0] = 0
-    dc.row_norms(small_matrix.entries, small_spectrum.omegas, 0, times)
-    assert counted[0] < 3 * np.sqrt(size) * small_spectrum.omegas.size
 
 
 def test_jittered_grid_takes_direct_phases(
@@ -340,6 +362,17 @@ def test_jittered_grid_takes_direct_phases(
     dc.survival_probability(baseline_matrix, baseline_spectrum, times)
     assert counted[0] == times.size * baseline_spectrum.omegas.size
     counted[0] = 0
+    sums = dc.row_norms(small_matrix.entries, small_spectrum.omegas, 0, times)
+    assert counted[0] == times.size * small_spectrum.omegas.size
+    assert np.abs(sums - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("size", [3, 257, 4001])
+def test_row_norms_take_direct_phases_on_uniform_grids(
+    size, monkeypatch, small_matrix, small_spectrum
+):
+    counted = _count_exponentiated(monkeypatch)
+    times = np.linspace(0.0, 100.0, size)
     sums = dc.row_norms(small_matrix.entries, small_spectrum.omegas, 0, times)
     assert counted[0] == times.size * small_spectrum.omegas.size
     assert np.abs(sums - 1.0).max() < 1e-12

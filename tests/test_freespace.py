@@ -147,6 +147,17 @@ def test_asymptotic_survival_guards(weak, strong):
         dc.freespace_survival_asymptotic(strong, 5.0)
 
 
+def test_asymptotic_survival_refuses_times_where_it_overflows(weak):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-300, np.array([50.0, 1e-300])):
+            with pytest.raises(ApproximationDomainError, match="overflows"):
+                dc.freespace_survival_asymptotic(weak, t)
+        tiny = dc.freespace_survival_asymptotic(weak, 1e-50)
+    # 64 g^2 / (w^8 t^6) at g = 0.5, w = 1
+    assert tiny == pytest.approx(1.6e301, rel=1e-12)
+
+
 def test_closed_form_requires_weak_regime(strong):
     with pytest.raises(RegimeError):
         dc.freespace_f00_closed(strong, 1.0)
@@ -185,7 +196,7 @@ def test_tolerance_below_quadrature_floor_refused(monkeypatch):
 
     monkeypatch.setattr(freespace, "quad", spy)
     p = dc.make_params(1.0, 10.0, delta=0.1)
-    for t in (0.0, 2.0, 445.9):
+    for t in (0.0, 2.0, 445.9, np.array([])):
         with pytest.raises(QuadratureError, match="tolerance"):
             dc.freespace_f00_numeric(p, t, tol=1e-12)
         with pytest.raises(QuadratureError, match="tolerance"):
@@ -209,10 +220,13 @@ def test_tolerance_just_above_quadrature_floor_succeeds():
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
-def test_invalid_tolerance_rejected(weak, tol):
-    for t in (0.0, 2.0):
+def test_invalid_tolerance_rejected(monkeypatch, weak, tol):
+    calls = []
+    monkeypatch.setattr(freespace, "quad", lambda *a, **k: calls.append(a))
+    for t in (0.0, 2.0, np.array([])):
         with pytest.raises(QuadratureError, match="tolerance"):
             dc.freespace_f00_numeric(weak, t, tol=tol)
+    assert calls == []
 
 
 def test_negative_time_rejected(weak):
