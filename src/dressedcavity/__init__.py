@@ -33,15 +33,12 @@ from .errors import (
     ValidationError,
 )
 from .evolution import (
-    SmallCavitySeries,
     amplitude_row,
     atom_amplitude,
     row_norms,
     small_cavity_amplitude_first_order,
     small_cavity_lower_bound,
-    survival_from_row,
     survival_probability,
-    survival_probability_small_cavity_series,
     unitarity_defect,
 )
 from .freespace import (
@@ -95,7 +92,6 @@ __all__ = [
     "REGIME_WEAK",
     "RawDefects",
     "RegimeError",
-    "SmallCavitySeries",
     "Spectrum",
     "SpectrumSolverError",
     "SystemParams",
@@ -127,9 +123,7 @@ __all__ = [
     "small_cavity_elements",
     "small_cavity_lower_bound",
     "solve_spectrum",
-    "survival_from_row",
     "survival_probability",
-    "survival_probability_small_cavity_series",
     "two_atom_reduced_density",
     "unitarity_defect",
     "von_neumann_entropy",

@@ -231,13 +231,16 @@ def entropy_time_independence_check(
     truncated basis, an (N+2)^2 eigensolve per time point, and nothing
     about the known rank-2 structure is assumed.  Production entropies
     come from ``rank_two_entropy``; the CLI selftest runs this check at
-    N <= 100 only.  Deviations are reported, never raised.
+    N <= 100 only.  Deviations are reported, never raised; an empty grid is
+    refused before any work.
     """
+    times = np.asarray(list(time_grid), dtype=float)
+    if times.size == 0:
+        raise ValidationError("time_grid must hold at least one time")
     if spectrum is None:
         spectrum = solve_spectrum(params)
     if matrix is None:
         matrix = build_matrix(params, spectrum)
-    times = np.asarray(list(time_grid), dtype=float)
     target = np.sort([1.0 - config.xi, config.xi])
     entropies = np.empty(times.size)
     eig_defect = 0.0

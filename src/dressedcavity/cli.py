@@ -10,10 +10,9 @@ convergence  truncation-defect report across a sweep of mode counts
 selftest     run the invariant suite at the configured parameters
 
 The commands compute through the library: the atom row T[0, :] by
-``modes.atom_row``, with no (N+1)^2 mode matrix, then evolve's f_00 by
-``evolution.atom_amplitude`` and figure1's survival by
-``evolution.survival_from_row``; impurity by
-``bipartite.population_impurity`` and entropy by
+``modes.atom_row``, with no (N+1)^2 mode matrix, then f_00 by
+``evolution.atom_amplitude`` (figure1 squares it for the survival);
+impurity by ``bipartite.population_impurity`` and entropy by
 ``bipartite.rank_two_entropy``.  Evolve's entropy takes
 s = sum_nu |f_0_nu(t)|^2 as sum_s T[0, s]^2 at every t, which it equals
 for the orthogonal repaired T (T^T T = I, |exp(-i Omega_s t)| = 1).
@@ -56,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .output import svg_line_plot, write_csv
-from .params import REGIME_STRONG, SystemParams, make_params
+from .params import DEFAULT_N_MODES, REGIME_STRONG, SystemParams, make_params
 
 MODES = (
     "small_cavity_exact",
@@ -80,14 +79,14 @@ class RunConfig:
     omega_bar: float = 1.0
     g: float = 0.5
     delta: float = 0.1
-    n_modes: int = 1000
+    n_modes: int = DEFAULT_N_MODES
     xi: float = 0.5
     mode: str = "small_cavity_exact"
     t_min: float = 0.0
     t_max: float = 100.0
     t_steps: int = 1001
     xi_steps: int = 199
-    tol: float = 1e-8
+    tol: float = freespace.DEFAULT_TOL
     n_sweep: tuple = DEFAULT_N_SWEEP
     out: str = "."
     dump_matrix: bool = False
@@ -275,9 +274,8 @@ def cmd_figure1(config: RunConfig) -> int:
 
     spec = spectrum_mod.solve_spectrum(params)
     row = modes.atom_row(params, spec)
-    d_small = bipartite.population_impurity(
-        evolution.survival_from_row(row, spec, times)
-    )
+    f00 = evolution.atom_amplitude(row, spec, times)
+    d_small = bipartite.population_impurity(np.abs(f00) ** 2)
     if params.regime == REGIME_STRONG:  # no closed form for g >= omega_bar
         free = freespace.freespace_f00_numeric(params, times, config.tol)
     else:

@@ -28,12 +28,11 @@ take direct phases and two real products with the mode matrix
 2 T (N+1)^2 flops of the products.  Temporaries hold
 O((B + ``_TIME_CHUNK``) (N+1)) numbers whatever the length of the grid.
 
-The atom's own amplitude f_00 needs only the atom row T[0, :]:
-:func:`atom_amplitude` is its mode sum, and :func:`survival_from_row` its
-squared modulus, for the row of ``modes.atom_row`` with no mode matrix;
-:func:`survival_probability` passes row 0 of a matrix to the same sum, as
-the first-order series :func:`small_cavity_amplitude_first_order` passes
-its first-order Omega_s and row to ``_phase_sum``.
+The atom's own amplitude f_00 needs only the atom row T[0, :], such as
+that of ``modes.atom_row``: :func:`atom_amplitude` is its mode sum, and
+the survival |f_00|^2 its squared modulus (:func:`survival_probability`
+for row 0 of a matrix).  The first-order series
+:func:`small_cavity_amplitude_first_order` is the same ``_phase_sum``.
 
 The row also fixes the two-atom entropy.  Its time dependence enters
 through s(t) = sum_nu |f_0_nu(t)|^2 = sum_s T[0, s]^2 |exp(-i Omega_s t)|^2
@@ -43,17 +42,19 @@ sum_s T[0, s]^2 in exact arithmetic.  ``cli evolve`` takes that constant;
 check of the identity (``cli selftest``, ``unitarity_defect``).
 
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
-A row or matrix passed in with roots must have one column per root; one
-check, ``_check_pair``, refuses any other with :class:`ConsistencyError`.
+One check each refuses a row or matrix whose columns do not pair with the
+roots (``_check_pair``, :class:`ConsistencyError`), a mu outside 0..N
+(``_row_parts``, :class:`ValidationError`) and a t that is not finite
+(``_checked_times``, :class:`ApproximationDomainError`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ApproximationDomainError, ConsistencyError
+from .errors import ApproximationDomainError, ConsistencyError, ValidationError
 from .modes import ModeMatrix, small_cavity_elements
 from .params import SystemParams
 from .spectrum import (
@@ -76,6 +77,14 @@ def _check_pair(columns: np.ndarray, omegas: np.ndarray, ndim: int) -> None:
             f"mode array of shape {columns.shape} does not pair with "
             f"{omegas.size} roots"
         )
+
+
+def _checked_times(t) -> np.ndarray:
+    """``t``, a scalar or a grid of finite times, as a float array."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(times).all():
+        raise ApproximationDomainError("t must be finite")
+    return times
 
 
 def _phases(omegas: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -101,7 +110,7 @@ def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     against 0.11 for the direct sum
     (``test_phase_sum_matches_long_double_reference``).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _checked_times(times)
     n = times.size
     b, h = 1, 0.0
     if n > 2:
@@ -123,6 +132,9 @@ def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
 def _row_parts(entries: np.ndarray, omegas: np.ndarray, mu: int, times: np.ndarray):
     """Real and imaginary parts of f_mu_nu(t), (N+1) x times each, as two
     real products of ``entries`` with the phased row ``entries[mu]``."""
+    n = entries.shape[0] - 1
+    if not (np.issubdtype(type(mu), np.integer) and 0 <= mu <= n):  # bool is not one
+        raise ValidationError(f"mu must be an integer from 0 to {n}, got {mu!r}")
     x = entries[mu][:, None] * _phases(omegas, times)
     return entries @ x.real, entries @ x.imag
 
@@ -135,7 +147,7 @@ def amplitude_row(
     Negative t is accepted: f_mu_nu(-t) = conj(f_mu_nu(t)).
     """
     _check_pair(matrix.entries, spectrum.omegas, 2)
-    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, np.array([float(t)]))
+    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, _checked_times(float(t)))
     return re[:, 0] + 1j * im[:, 0]
 
 
@@ -146,18 +158,10 @@ def atom_amplitude(row: np.ndarray, spectrum: Spectrum, t) -> np.ndarray:
     return _phase_sum(spectrum.omegas, row**2, t)
 
 
-def survival_from_row(row: np.ndarray, spectrum: Spectrum, t):
-    """|f_00(t)|^2 from the atom row T[0, :] (``modes.atom_row``).
-
-    A float for a scalar t, an array for any grid.
-    """
-    out = np.abs(atom_amplitude(row, spectrum, t)) ** 2
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def survival_probability(matrix: ModeMatrix, spectrum: Spectrum, t):
     """|f_00(t)|^2: a float for a scalar t, an array for any grid."""
-    return survival_from_row(matrix.entries[0], spectrum, t)
+    out = np.abs(atom_amplitude(matrix.entries[0], spectrum, t)) ** 2
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.ndarray:
@@ -168,7 +172,7 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     taken ``_TIME_CHUNK`` times at a time.
     """
     _check_pair(entries, omegas, 2)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _checked_times(times)
     sums = np.empty(times.size)
     for i in range(0, times.size, _TIME_CHUNK):
         yr, yi = _row_parts(entries, omegas, mu, times[i : i + _TIME_CHUNK])
@@ -176,24 +180,12 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     return sums
 
 
-def unitarity_defect(
-    matrix: ModeMatrix, spectrum: Spectrum, mu: int, times
-) -> float:
-    """max over the given times of |1 - sum_nu |f_mu_nu(t)|^2|."""
+def unitarity_defect(matrix: ModeMatrix, spectrum: Spectrum, mu: int, times) -> float:
+    """max over a non-empty grid of |1 - sum_nu |f_mu_nu(t)|^2|."""
+    if np.size(times) == 0:
+        raise ValidationError("times must hold at least one time")
     sums = row_norms(matrix.entries, spectrum.omegas, mu, times)
     return float(np.abs(1.0 - sums).max())
-
-
-@dataclass(frozen=True)
-class SmallCavitySeries:
-    """Survival probability from the first-order double series.
-
-    ``tail_bound`` is the first-order bound (8*delta/pi)/k_terms on the
-    truncated part of the k sum.
-    """
-
-    values: np.ndarray
-    tail_bound: float
 
 
 def small_cavity_amplitude_first_order(
@@ -205,9 +197,14 @@ def small_cavity_amplitude_first_order(
         sum_s w_s e^{-i Omega_s t},  w = (t00^2, tk0^2 ...),
 
     with the frequencies of ``spectrum.approx_spectrum_small_cavity`` and
-    the squared atom-row entries of ``modes.small_cavity_elements``.  The
-    model's domain is theirs: it refuses delta >= 0.5 and
-    delta >= 2 g^2/(pi omega_bar^2), and warns above delta = 0.2.
+    the squared atom-row entries of ``modes.small_cavity_elements``.  Its
+    |f|^2 is the first-order survival: the double cosine series in
+    cos((Omega_0 - Omega_k) t) and cos((Omega_k - Omega_l) t), weights
+    (8 delta/pi) k^{-2} and (16 delta^2/pi^2) k^{-2} l^{-2}, summed with
+    better conditioning.  Cutting the k sum at K = ``k_terms`` leaves a
+    survival tail of at most (8 delta/pi)/K.  The model's domain is
+    theirs: it refuses delta >= 0.5 and delta >= 2 g^2/(pi omega_bar^2),
+    and warns above delta = 0.2.
     """
     if k_terms < 1:
         raise ApproximationDomainError("series needs at least one k term")
@@ -215,24 +212,6 @@ def small_cavity_amplitude_first_order(
     omegas = approx_spectrum_small_cavity(model)
     t00_sq, tk0_sq = small_cavity_elements(model)
     return _phase_sum(omegas, np.concatenate(([t00_sq], tk0_sq)), t)
-
-
-def survival_probability_small_cavity_series(
-    params: SystemParams, t, k_terms: int = 1000
-) -> SmallCavitySeries:
-    """Small-cavity survival |f_00(t)|^2 to first order in delta.
-
-    Expanding the squared modulus of the first-order mode sum gives the
-    double cosine series in the frequency differences
-    cos((Omega_0 - Omega_k) t) and cos((Omega_k - Omega_l) t) with
-    weights (8 delta/pi) k^{-2} and (16 delta^2/pi^2) k^{-2} l^{-2}; the
-    collapsed |f|^2 form evaluated here is the same arithmetic with
-    better conditioning.
-    """
-    f = small_cavity_amplitude_first_order(params, t, k_terms)
-    return SmallCavitySeries(
-        values=np.abs(f) ** 2, tail_bound=(8.0 * params.delta / np.pi) / k_terms
-    )
 
 
 def small_cavity_lower_bound(params: SystemParams) -> float:

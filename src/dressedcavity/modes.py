@@ -55,6 +55,7 @@ from .errors import (
     ConsistencyError,
     NearResonanceError,
     NumericDomainError,
+    ValidationError,
 )
 from .params import SystemParams
 from .spectrum import Spectrum
@@ -385,8 +386,14 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     ``_GRAM_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
     time, O(N) memory.  The preconditions are those of
     :func:`assemble_raw_matrix`, and roots that do not increase strictly
-    raise :class:`NumericDomainError` as in :func:`atom_row`.
+    raise :class:`NumericDomainError` as in :func:`atom_row`.  An empty grid
+    and a t that is not finite are refused first.
     """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise ValidationError("times must hold at least one time")
+    if not np.isfinite(times).all():
+        raise ApproximationDomainError("t must be finite")
     _check_columns(params, spectrum)
     _check_increasing(spectrum)
     atom = atom_element(params, spectrum.omegas)
@@ -406,7 +413,6 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     norm_sq = atom**2 * (1.0 + eta2 * slope)
     scale = atom / np.sqrt(norm_sq)
 
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     phases = np.multiply.outer(spectrum.omegas, times)
     w = np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
     w *= scale[:, None]

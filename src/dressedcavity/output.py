@@ -18,10 +18,6 @@ def _cell_format(kind: type) -> str:
     return "%d" if issubclass(kind, int) and kind is not bool else "%.17g"
 
 
-def format_value(x) -> str:
-    return _cell_format(type(x)) % x
-
-
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one line per row, each through a single %-format string.
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dressedcavity as dc
-from dressedcavity import cli
+from dressedcavity import bipartite, cli
 from dressedcavity.errors import (
     NormalizationError,
     PhysicalityError,
@@ -250,6 +250,23 @@ def test_entropy_flatness_at_half(baseline_params, baseline_spectrum,
         spectrum=baseline_spectrum,
     )
     assert np.abs(report.entropies - LN2).max() < 1e-9
+
+
+def test_entropy_flatness_refuses_an_empty_grid_before_any_work(
+    baseline_params, monkeypatch
+):
+    """An empty grid has no maximum deviation; it is refused before the
+    spectrum and the mode matrix are built."""
+
+    def no_work(*args):
+        raise AssertionError("the grid is checked before any work")
+
+    monkeypatch.setattr(bipartite, "solve_spectrum", no_work)
+    monkeypatch.setattr(bipartite, "build_matrix", no_work)
+    with pytest.raises(ValidationError, match="at least one time"):
+        dc.entropy_time_independence_check(
+            baseline_params, dc.EntangledStateConfig(xi=0.3), ()
+        )
 
 
 def test_entropy_symmetry_in_xi():

@@ -5,7 +5,11 @@ import pytest
 
 import dressedcavity as dc
 from dressedcavity import evolution
-from dressedcavity.errors import ApproximationDomainError, ConsistencyError
+from dressedcavity.errors import (
+    ApproximationDomainError,
+    ConsistencyError,
+    ValidationError,
+)
 
 LOWER_BOUND_D01 = 0.36729331802172701  # closed-form bound at delta=0.1
 
@@ -96,8 +100,6 @@ def test_survival_from_row_rejects_a_row_of_another_size(
     small_matrix, baseline_spectrum
 ):
     with pytest.raises(ConsistencyError):
-        dc.survival_from_row(small_matrix.entries[0], baseline_spectrum, 1.0)
-    with pytest.raises(ConsistencyError):
         dc.atom_amplitude(small_matrix.entries[0], baseline_spectrum, 1.0)
 
 
@@ -138,6 +140,64 @@ def test_row_norms_of_a_non_unitary_matrix():
             assert np.abs(sums - direct).max() <= bound
 
 
+@pytest.mark.parametrize("mu", [-1, 31, 2.0, True])
+def test_row_kernel_refuses_a_mu_outside_the_rows(mu):
+    """numpy indexing would read mu = -1 as row N and fail on 31 or 2.0 with
+    a bare IndexError."""
+    params = dc.make_params(1.0, 0.5, delta=0.1, n_modes=30)
+    spec = dc.solve_spectrum(params)
+    matrix = dc.build_matrix(params, spec)
+    with pytest.raises(ValidationError, match="mu"):
+        dc.amplitude_row(matrix, spec, mu, 1.0)
+    with pytest.raises(ValidationError, match="mu"):
+        dc.row_norms(matrix.entries, spec.omegas, mu, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="mu"):
+        dc.unitarity_defect(matrix, spec, mu, [0.0, 1.0])
+    # the last row is legal, and a numpy integer reads as the same row
+    last = dc.amplitude_row(matrix, spec, np.int64(30), 1.0)
+    assert np.array_equal(last, dc.amplitude_row(matrix, spec, 30, 1.0))
+    norms = dc.row_norms(matrix.entries, spec.omegas, np.int64(30), [1.0])
+    assert abs(norms[0] - 1.0) < 1e-12
+
+
+def test_an_empty_grid_has_no_defect_and_empty_values(small_matrix, small_spectrum):
+    with pytest.raises(ValidationError, match="at least one time"):
+        dc.unitarity_defect(small_matrix, small_spectrum, 0, [])
+    row, omegas = small_matrix.entries[0], small_spectrum.omegas
+    series_params = dc.make_params(1.0, 0.5, delta=0.1)
+    for values in (
+        dc.atom_amplitude(row, small_spectrum, []),
+        dc.survival_probability(small_matrix, small_spectrum, []),
+        dc.row_norms(small_matrix.entries, omegas, 0, []),
+        dc.small_cavity_amplitude_first_order(series_params, [], 100),
+    ):
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("on_grid", [False, True], ids=["alone", "in-grid"])
+def test_a_time_that_is_not_finite_is_refused(
+    bad, on_grid, small_matrix, small_spectrum
+):
+    """Such a t would give NaN, with numpy's "invalid value" warning for inf."""
+    t = np.array([0.0, 1.0, bad]) if on_grid else bad
+    entries, omegas = small_matrix.entries, small_spectrum.omegas
+    series_params = dc.make_params(1.0, 0.5, delta=0.1)
+    calls = [
+        lambda: dc.atom_amplitude(entries[0], small_spectrum, t),
+        lambda: dc.survival_probability(small_matrix, small_spectrum, t),
+        lambda: dc.small_cavity_amplitude_first_order(series_params, t, 100),
+        lambda: dc.row_norms(entries, omegas, 0, t),
+        lambda: dc.unitarity_defect(small_matrix, small_spectrum, 0, t),
+    ]
+    if not on_grid:
+        calls.append(lambda: dc.amplitude_row(small_matrix, small_spectrum, 0, t))
+    for call in calls:
+        with pytest.raises(ApproximationDomainError, match="t must be finite"):
+            call()
+
+
 def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectrum):
     with pytest.raises(ConsistencyError):
         dc.amplitude_row(small_matrix, baseline_spectrum, 0, 1.0)
@@ -156,28 +216,24 @@ def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectr
         dc.atom_amplitude(small_matrix.entries[:2], small_spectrum, 1.0)
 
 
+def _series_survival(params, t, k_terms=1000):
+    return np.abs(dc.small_cavity_amplitude_first_order(params, t, k_terms)) ** 2
+
+
 def test_series_at_t0_resums_to_one():
     p = dc.make_params(1.0, 0.5, delta=0.1)
-    result = dc.survival_probability_small_cavity_series(p, 0.0, k_terms=1000)
-    assert result.values[0] == pytest.approx(1.0, abs=2e-3)
+    values = _series_survival(p, 0.0, k_terms=1000)
+    assert values[0] == pytest.approx(1.0, abs=2e-3)
     # zeta(2) resummation: the truncated value sits just below 1
-    assert result.values[0] < 1.0
-
-
-def test_series_tail_bound_metadata():
-    p = dc.make_params(1.0, 0.5, delta=0.1)
-    result = dc.survival_probability_small_cavity_series(p, 1.0, k_terms=100)
-    assert result.tail_bound == pytest.approx(8 * 0.1 / np.pi / 100, rel=1e-12)
+    assert values[0] < 1.0
 
 
 def test_series_rejects_bad_inputs():
     p = dc.make_params(1.0, 0.5, delta=0.1)
     with pytest.raises(ApproximationDomainError):
-        dc.survival_probability_small_cavity_series(p, 1.0, k_terms=0)
+        _series_survival(p, 1.0, k_terms=0)
     with pytest.raises(ApproximationDomainError):
-        dc.survival_probability_small_cavity_series(
-            dc.make_params(1.0, 2.0, delta=0.7), 1.0
-        )
+        _series_survival(dc.make_params(1.0, 2.0, delta=0.7), 1.0)
 
 
 def _parent_first_order(params, t, k_terms):
@@ -222,7 +278,7 @@ def test_series_has_the_domain_of_the_approximate_spectrum():
 def test_series_stays_above_bound_with_slack():
     p = dc.make_params(1.0, 0.5, delta=0.1)
     times = np.linspace(0.0, 100.0, 20001)
-    values = dc.survival_probability_small_cavity_series(p, times, 1000).values
+    values = _series_survival(p, times, 1000)
     assert values.min() >= LOWER_BOUND_D01 - 0.01
 
 
@@ -241,7 +297,7 @@ def test_series_tracks_exact_mode_sum():
         matrix = dc.build_matrix(p, spec)
         times = np.linspace(0.0, t_max, 2001)
         exact = dc.survival_probability(matrix, spec, times)
-        series = dc.survival_probability_small_cavity_series(p, times, 1000).values
+        series = _series_survival(p, times, 1000)
         gaps[delta] = float(np.abs(series - exact).max())
     assert gaps[0.05] < 0.05
     assert gaps[0.025] < 0.05

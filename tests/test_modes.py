@@ -11,6 +11,7 @@ from dressedcavity.errors import (
     ConsistencyError,
     NearResonanceError,
     NumericDomainError,
+    ValidationError,
 )
 
 # arbitrary-precision evaluations at omega_bar=1, g=0.5, delta=0.1
@@ -357,6 +358,18 @@ def test_raw_defects_preconditions(small_params, small_spectrum, baseline_spectr
     equal[1] = equal[0]
     with pytest.raises(NumericDomainError):
         dc.raw_defects(small_params, replace(small_spectrum, omegas=equal), times)
+
+
+@pytest.mark.filterwarnings("error")
+def test_raw_defects_refuse_empty_and_non_finite_grids(small_params, small_spectrum):
+    """An empty grid has no maximum defect, and a time that is not finite
+    would give NaN (with numpy's "invalid value" warning for inf)."""
+    with pytest.raises(ValidationError, match="at least one time"):
+        dc.raw_defects(small_params, small_spectrum, [])
+    for bad in (np.inf, -np.inf, np.nan):
+        for times in (bad, (0.0, 1.0, bad)):
+            with pytest.raises(ApproximationDomainError, match="t must be finite"):
+                dc.raw_defects(small_params, small_spectrum, times)
 
 
 def test_build_matrix_rejects_mismatched_sizes(small_params, baseline_spectrum):
