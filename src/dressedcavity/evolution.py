@@ -44,7 +44,7 @@ check of the identity (``cli selftest``, ``unitarity_defect``).
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 One check each refuses a row or matrix whose columns do not pair with the
 roots (``_check_pair``, :class:`ConsistencyError`), a mu outside 0..N
-(``_row_parts``, :class:`ValidationError`) and a t that is not finite
+(``_checked_mu``, :class:`ValidationError`) and a t that is not finite
 (``_checked_times``, :class:`ApproximationDomainError`).
 """
 
@@ -129,13 +129,18 @@ def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     return sums.ravel()[:n]
 
 
-def _row_parts(entries: np.ndarray, omegas: np.ndarray, mu: int, times: np.ndarray):
-    """Real and imaginary parts of f_mu_nu(t), (N+1) x times each, as two
-    real products of ``entries`` with the phased row ``entries[mu]``."""
+def _checked_mu(entries: np.ndarray, mu) -> int:
+    """``mu``, refused unless an integer row index 0..N of ``entries``."""
     n = entries.shape[0] - 1
     if not (np.issubdtype(type(mu), np.integer) and 0 <= mu <= n):  # bool is not one
         raise ValidationError(f"mu must be an integer from 0 to {n}, got {mu!r}")
-    x = entries[mu][:, None] * _phases(omegas, times)
+    return mu
+
+
+def _row_parts(entries: np.ndarray, omegas: np.ndarray, mu: int, times: np.ndarray):
+    """Real and imaginary parts of f_mu_nu(t), (N+1) x times each, as two
+    real products of ``entries`` with the phased row ``entries[mu]``."""
+    x = entries[_checked_mu(entries, mu)][:, None] * _phases(omegas, times)
     return entries @ x.real, entries @ x.imag
 
 
@@ -172,6 +177,7 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     taken ``_TIME_CHUNK`` times at a time.
     """
     _check_pair(entries, omegas, 2)
+    _checked_mu(entries, mu)  # also on an empty grid, which _row_parts never sees
     times = _checked_times(times)
     sums = np.empty(times.size)
     for i in range(0, times.size, _TIME_CHUNK):

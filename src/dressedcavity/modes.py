@@ -18,8 +18,9 @@ Both use matrix products only; from the small defects of an adequate
 truncation one step of each reaches roundoff, whatever the coupling and
 the mode spacing, so the cost depends on N alone.  The tests hold the
 result to the eigendecomposition form of the same factor within 1e-12
-per entry.  The raw truncation defects are preserved on the result
-as diagnostics.
+per entry.  The build holds three (N+1)^2 arrays at its peak, at any
+step count (X is rebuilt in row blocks for the shift), and keeps the raw
+truncation defects on the result as diagnostics.
 
 The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 :func:`atom_row` gets it by Lanczos matrix-vector products on the same
@@ -71,7 +72,7 @@ _POLAR_MAX_STEPS = 50
 
 _ROUNDOFF = float(np.finfo(float).eps)
 
-#: rows per block of the column norms' squares
+#: rows per block of the column norms' squares and of the shift's rebuilt X
 _NORM_ROWS = 32
 
 #: rows per block of the closed-form Gram matrix in :func:`raw_defects`
@@ -127,17 +128,19 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     (:func:`_nearest_resonance`).
     """
     _check_columns(params, spectrum)
-    omegas = spectrum.omegas
-    atom_row = atom_element(params, omegas)
-    omega_k = params.field_frequencies()
-    field_sq, roots_sq = omega_k**2, omegas**2
     t = np.empty((params.n_modes + 1, params.n_modes + 1))
-    t[0, :] = atom_row
-    field = t[1:]
-    np.subtract.outer(field_sq, roots_sq, out=field)
-    np.divide((params.eta * omega_k)[:, None], field, out=field)
-    field *= atom_row
+    t[0, :] = atom_element(params, spectrum.omegas)
+    _field_rows(params, params.field_frequencies(), spectrum.omegas, t[0], t[1:])
     return t
+
+
+def _field_rows(params: SystemParams, omega_k, omegas, atom_row, out) -> np.ndarray:
+    """Raw field rows of the given omega_k into ``out``, elementwise: any
+    block of rows has the bits of the same rows of the whole matrix."""
+    np.subtract.outer(omega_k**2, omegas**2, out=out)
+    np.divide((params.eta * omega_k)[:, None], out, out=out)
+    out *= atom_row
+    return out
 
 
 def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
@@ -217,12 +220,17 @@ def _max_abs(a: np.ndarray) -> float:
     return float(max(a.max(), -a.min()))
 
 
-def _polar_factor(x: np.ndarray, defect: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of ``x`` by Newton-Schulz steps.
+def _polar_factor(
+    params: SystemParams, spectrum: Spectrum
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthogonal polar factor of the rescaled matrix X by Newton-Schulz
+    steps, with X's raw column norms and largest off-diagonal Gram entry.
 
-    ``defect`` holds E = x^T x - I on entry and is overwritten: each step
-    turns it into P in place and forms x P.  A second-order step,
-    P = I - E/2, maps every eigenvalue e of E to -(3/4) e^2 (1 - e/3).
+    X is made here, not passed in (an argument stays alive until the call
+    returns), so the first step x <- x P drops it: at any step count at
+    most three (N+1)^2 arrays are held, x, E = x^T x - I (made P in place
+    by each step) and x P or E^2.  A second-order step, P = I - E/2, maps
+    every eigenvalue e of E to -(3/4) e^2 (1 - e/3).
     The last step is of third order, P = I - E/2 + 3 E^2/8, which maps e
     to (5/8) e^3 (1 - 3e/8 + 9e^2/40); it is taken once the bound
     (5/8) e^3 (1 + 3e/8 + 9e^2/40) at e = ||E||_F falls below roundoff,
@@ -231,6 +239,14 @@ def _polar_factor(x: np.ndarray, defect: np.ndarray) -> np.ndarray:
     ||E||_F up to 3e-3 takes the same two steps: the cost does not depend
     on where the defect of an adequate truncation falls.
     """
+    x, raw_norms = _rescaled_matrix(params, spectrum)
+    # the Gram matrix G becomes E = G - I in place, after its off-diagonal
+    # maximum is taken with the diagonal zeroed
+    defect = x.T @ x
+    gram_diagonal = defect.diagonal().copy()
+    np.fill_diagonal(defect, 0.0)
+    raw_offdiag = _max_abs(defect)
+    np.fill_diagonal(defect, gram_diagonal - 1.0)
     stride = defect.shape[0] + 1  # flat stride of the diagonal
     previous = np.inf
     for step in range(_POLAR_MAX_STEPS):
@@ -242,7 +258,7 @@ def _polar_factor(x: np.ndarray, defect: np.ndarray) -> np.ndarray:
             defect += square
             del square
             defect.flat[::stride] += 1.0
-            return x @ defect
+            return x @ defect, raw_norms, raw_offdiag
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
@@ -274,21 +290,24 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     (nearly) linearly dependent make the iteration stall or run past its
     step cap, which raises :class:`NumericDomainError`.  Both raw defects
     are recorded unchanged on the result, and the sign convention
-    (positive atom row) is preserved.
+    (positive atom row) is preserved.  At most three (N+1)^2 arrays are
+    held (:func:`_polar_factor`); the shift max |T - X| rebuilds X in
+    one O(N^2) pass, ``_NORM_ROWS`` rows at a time, to the same bits.
     """
-    rescaled, raw_norms = _rescaled_matrix(params, spectrum)
-
-    # the Gram matrix G becomes E = G - I in place, after its off-diagonal
-    # maximum is taken with the diagonal zeroed
-    defect = rescaled.T @ rescaled
-    gram_diagonal = defect.diagonal().copy()
-    np.fill_diagonal(defect, 0.0)
-    raw_offdiag = _max_abs(defect)
-    np.fill_diagonal(defect, gram_diagonal - 1.0)
-
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
-    entries = _polar_factor(rescaled, defect)
-    shift = _max_abs(np.subtract(entries, rescaled, out=defect))
+    entries, raw_norms, raw_offdiag = _polar_factor(params, spectrum)
+
+    # the shift max |T - X|, with X rebuilt a block of rows at a time
+    omegas, omega_k = spectrum.omegas, params.field_frequencies()
+    atom_row = atom_element(params, omegas)
+    shift = _max_abs(entries[0] - atom_row / raw_norms)
+    block = np.empty((_NORM_ROWS, omegas.size))
+    for start in range(0, omega_k.size, _NORM_ROWS):
+        rows = slice(start, start + _NORM_ROWS)
+        field = entries[1:][rows]
+        x = _field_rows(params, omega_k[rows], omegas, atom_row, block[: len(field)])
+        x /= raw_norms
+        shift = max(shift, _max_abs(np.subtract(field, x, out=x)))
 
     flip = entries[0, :] < 0.0
     if np.any(flip):  # Loewdin preserves signs in practice; keep it guaranteed

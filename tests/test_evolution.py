@@ -149,8 +149,9 @@ def test_row_kernel_refuses_a_mu_outside_the_rows(mu):
     matrix = dc.build_matrix(params, spec)
     with pytest.raises(ValidationError, match="mu"):
         dc.amplitude_row(matrix, spec, mu, 1.0)
-    with pytest.raises(ValidationError, match="mu"):
-        dc.row_norms(matrix.entries, spec.omegas, mu, [0.0, 1.0])
+    for times in ([0.0, 1.0], []):  # an empty grid forms no row
+        with pytest.raises(ValidationError, match="mu"):
+            dc.row_norms(matrix.entries, spec.omegas, mu, times)
     with pytest.raises(ValidationError, match="mu"):
         dc.unitarity_defect(matrix, spec, mu, [0.0, 1.0])
     # the last row is legal, and a numpy integer reads as the same row

@@ -189,6 +189,39 @@ def test_build_matrix_rejects_linearly_dependent_columns(n):
         dc.build_matrix(p, degenerate)
 
 
+@pytest.mark.parametrize("delta", [0.1, 1000.0])
+def test_build_matrix_peak_memory_is_three_matrices(delta):
+    # the iterate, E and their product (or E^2), whether the iteration
+    # takes two steps (delta = 0.1) or a dozen (delta = 1000): X is dropped
+    # after the first.  The slack of 64 length-(N+1) vectors covers the
+    # 33-row block of the column norms' squares, the 32-row block of the
+    # shift (held at different times) and the spectrum-sized arrays.
+    n = 1000
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    tracemalloc.start()
+    try:
+        m = dc.build_matrix(p, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.entries.shape == (n + 1, n + 1)
+    assert peak <= 3 * 8 * (n + 1) ** 2 + 64 * 8 * (n + 1)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 1000.0])
+@pytest.mark.parametrize("n", [1, 2, 33, 300])
+def test_orthogonalization_shift_is_the_dense_max_to_the_bit(n, delta):
+    # build_matrix rebuilds X a block of rows at a time for the shift; it
+    # must equal max |T - X| over the dense X, with the column flips undone
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    m = dc.build_matrix(p, spec)
+    x, _ = dc.modes._rescaled_matrix(p, spec)
+    sign = np.sign((m.entries * x).sum(axis=0))  # -1 on a flipped column
+    assert m.orthogonalization_shift == np.abs(m.entries * sign - x).max()
+
+
 def parent_raw_field_rows(params, spectrum):
     """Field rows of the raw matrix by the out-of-place entry formula."""
     omegas = spectrum.omegas
@@ -205,6 +238,12 @@ def test_assemble_raw_matrix_in_place_is_bitwise_the_entry_formula(n):
     raw = dc.assemble_raw_matrix(p, spec)
     assert np.array_equal(raw[0], dc.atom_element(p, spec.omegas))
     assert np.array_equal(raw[1:], parent_raw_field_rows(p, spec))
+    # a block of field rows alone, as build_matrix rebuilds X for the shift
+    # (whose maximum sits in the atom row on the tested grids)
+    rows = slice(n // 3, n // 3 + 32)
+    block = np.empty((32, n + 1))
+    dc.modes._field_rows(p, p.field_frequencies()[rows], spec.omegas, raw[0], block)
+    assert np.array_equal(block, raw[1:][rows])
 
 
 def test_assemble_raw_matrix_checks_every_entry_for_resonance(small_params):
@@ -278,7 +317,7 @@ def test_atom_row_rejects_mismatched_spectrum(small_params, baseline_spectrum):
 
 
 def test_atom_row_peak_memory_is_one_matrix():
-    # X alone; build_matrix holds four at its peak.  The slack of 64
+    # X alone; build_matrix holds three at its peak.  The slack of 64
     # length-(N+1) vectors covers the 32-row Lanczos basis, the 33-row
     # block of the column norms' squares (held at different times) and
     # the spectrum-sized arrays.
