@@ -473,10 +473,13 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
         if params.regime == REGIME_STRONG:
             return True, "not applicable: no closed form for g >= omega_bar"
         times = np.array([0.5, 5.0, 12.0])
-        numeric = freespace.freespace_f00_numeric(params, times, tol=1e-9)
+        numeric, achieved = freespace._numeric_with_error(params, times, tol=1e-9)
         closed = freespace.freespace_f00_closed(params, times)
         worst = float(np.abs(numeric - closed).max())
-        return worst < 1e-6, f"max |numeric - closed| {worst:.2e}"
+        return worst < 1e-6, (
+            f"max |numeric - closed| {worst:.2e}, "
+            f"max error estimate {float(achieved.max()):.2e}"
+        )
 
     check("freespace_consistency", freespace_consistency)
 

@@ -11,15 +11,19 @@ All three take t as a scalar or a grid, and one check
 not finite and >= 0, or > 0 for the asymptotic form.
 
 Quadrature, any coupling, one rule for every t >= 0, one time of a grid
-at a time.  The integrand has a resonance shoulder of width ~g around w
-and a 1/x^2 tail.  Adaptive panels run between the shoulder points
-{w-2g, w+2g, ...}, then, in ln x, decade by decade while t x < 1 (up to
-x = 1e12, which stops t = 0).  Only a tail that starts at t x >= 1 goes
-to QUADPACK's Fourier-integral routine QAWF (Piessens et al., QUADPACK,
-1983), which sums it period by period and extrapolates with the epsilon
-algorithm; QAWF drops a tail that does not oscillate without a warning
-(numbers in _fourier_semi_infinite).  Any other tail goes to plain
-adaptive quadrature.
+at a time, one complex integral int_0^inf f(x) e^{-ixt} dx per
+time.  The weight f has a resonance shoulder of width ~g around w and a
+1/x^2 tail.  Real panels run from 0 through the shoulder points
+{w-2g, w+2g, ...} to the last one, x0, each pre-split to a few radians of
+t x.  From x0 the path turns down the ray x = x0 - i x0 (e^v - 1),
+v in [0, V]: every pole of f has |Re x| < x0, so the quadrant
+Re x >= x0, Im x <= 0 holds none, |e^{-ixt}| <= 1 there, and the ray
+replaces the oscillating tail at every t >= 0; the cut at V leaves out
+about e^-V / x0.  Both parts go through :func:`quad`, a globally adaptive
+15-point Gauss-Kronrod rule in numpy (QUADPACK's QK15, Piessens et al.,
+QUADPACK, 1983).  The one exception is a real panel spanning more than
+Phi = ``_QAWO_PHASE`` radians of t x: its cost would grow with t, so it
+goes to QUADPACK's QAWO, whose Chebyshev moments do not.
 
 Closed form, weak coupling (g < w, kappa = sqrt(w^2 - g^2)).  The
 denominator has the roots r = +-kappa +- ig, and partial fractions give
@@ -39,19 +43,20 @@ in which the fourth-quadrant residue has cancelled against the branch
 jump of E_1.  F is real on the positive real axis, so the factor g/kappa,
 large near g = w, multiplies only Im F, which is of order kappa.
 
-scipy loads at first use, not at import: ``scipy.integrate`` on the first
-quadrature and ``scipy.special`` on the first closed-form evaluation.  The
-cavity side (spectrum, mode matrix, survival, entropy) needs numpy alone,
-and importing ``scipy.integrate`` costs about 0.6 s, several times what a
-default ``spectrum`` or ``convergence`` run computes.  ``quad`` stays a
-public name bound in this module when it is imported, and every
-quadrature calls it through that name, so a caller that replaces
-``freespace.quad`` (a test spy, the benchmark's tracer) sees every call,
-also in a process that has not integrated yet.
+scipy loads at first use, not at import: ``scipy.special`` on the first
+closed-form evaluation and ``scipy.integrate`` on the first panel past
+Phi, which no t x0 <= Phi reaches.  The cavity side (spectrum, mode
+matrix, survival, entropy) and the quadrature below Phi need numpy alone;
+importing ``scipy.integrate`` takes about 0.4 s and 52 MB of resident
+memory over numpy alone, 26 MB more than ``scipy.special``.  ``quad``
+is a public name bound in this module, and every numpy integral calls it
+through that name, so a caller that replaces ``freespace.quad`` (a test
+spy, the benchmark's tracer) sees every one of them.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -67,8 +72,60 @@ DEFAULT_TOL = 1e-8
 # budget lies below it is refused, since no call is asked to reach it
 _EPSABS_FLOOR = 1e-13
 
-_TAIL_PHASE = 1.0  # radians of t x at which QAWF takes the tail
-_PANEL_CAP = 1e12  # the decades past the shoulders stop here at tiny t
+# QUADPACK's 15-point Kronrod rule (dqk15) on [-1, 1]: nodes, Kronrod
+# weights, and the weights of the embedded 7-point Gauss rule, which are
+# zero at the Kronrod-only nodes
+_QK15_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_QK15_NODES = np.concatenate((-_QK15_HALF[:-1], _QK15_HALF[::-1]))
+_QK15_KRONROD = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970,
+])
+_QK15_GAUSS = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.129484966168869693270611432679082, 0.0,
+])
+_QK15_RULES = np.stack((_QK15_KRONROD, _QK15_KRONROD - _QK15_GAUSS), axis=1)
+_ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's floor on a panel's error
+_TINY = np.finfo(float).tiny
+_MAX_BISECTIONS = 2000  # subdivision cap of one adaptive integral
+
+# each real panel starts in at least _PANEL_PIECES sub-panels of at most
+# _PANEL_PHASE radians of t x: a few radians leave the Kronrod estimate
+# below tolerance without bisection, and four pieces spare the rounds of
+# bisection a shoulder panel needs at small t
+_PANEL_PHASE = 3.0
+_PANEL_PIECES = 4
+# Phi: a real panel spanning more than this many radians of t x goes to
+# QUADPACK's QAWO, whose cost does not grow with t.  The two cost the same
+# at about 110-140 rad on a smooth panel, 250-530 rad on one holding the
+# resonance and 1100-2000 rad on [0, 7] at g = 3 (numpy 0.1-0.3 us/rad
+# against QAWO's 20-230 us per panel, 2-vCPU Xeon); 300 sits in that range
+# and keeps t <= 40 at x0 <= 7 on numpy
+_QAWO_PHASE = 300.0
+_RAY_END = 40.0  # V: the ray stops at v = V, leaving about e^-V / x0 out
+# the ray's edges in v: on the scale of x0, where the weight falls like
+# e^-v, and where the decay t x0 (e^v - 1) passes each of these values
+_RAY_STEPS = (
+    0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 28.0
+)
+_RAY_DECAY = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 # e^z E_1(z) = int_0^inf e^{-u} / (u + z) du by Gauss-Laguerre once |z| >= 2
 _LAGUERRE_MIN_ABS = 2.0
@@ -81,11 +138,64 @@ _ASYMPTOTIC_TERMS = 15
 _EI_SERIES_MIN_RATIO = 10.0
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call."""
-    import scipy.integrate
+def _qk15(h, a: np.ndarray, b: np.ndarray):
+    """Kronrod value, QUADPACK error estimate and whether that estimate lies
+    above QUADPACK's roundoff floor, for h on each [a, b]."""
+    half = 0.5 * (b - a)
+    fv = h((a + half)[:, None] + half[:, None] * _QK15_NODES)
+    # two real products: numpy's complex-by-real matrix product is far slower
+    re, im = fv.real.dot(_QK15_RULES), fv.imag.dot(_QK15_RULES)
+    kronrod = re[:, 0] + 1j * im[:, 0]
+    # QUADPACK's scaling of |Kronrod - Gauss| by resasc, the spread of h
+    # about its mean, on [-1, 1] and then by half
+    resasc = np.abs(fv - 0.5 * kronrod[:, None]).dot(_QK15_KRONROD)
+    gap = 200.0 * np.hypot(re[:, 1], im[:, 1])
+    ratio = gap / np.maximum(np.maximum(resasc, gap), _TINY)  # min(1, gap/resasc)
+    err = resasc * ratio**1.5 * half
+    floor = _ROUNDOFF * np.abs(fv).dot(_QK15_KRONROD) * half
+    return kronrod * half, np.maximum(err, floor), err > floor
 
-    return scipy.integrate.quad(*args, **kwargs)
+
+def quad(h, edges, tol: float) -> tuple[complex, float]:
+    """int h(x) dx over [edges[0], edges[-1]] to absolute accuracy ``tol``.
+
+    Globally adaptive 15-point Gauss-Kronrod quadrature (QUADPACK's QK15
+    rule and error estimate), vectorized over intervals.  ``h`` maps an
+    array of points to the complex values of the integrand; ``edges``
+    are increasing breakpoints, and each interval between them starts
+    unsplit.  While the summed error estimate exceeds ``tol``, the
+    intervals of largest estimate, enough to cover the excess, are
+    bisected; an interval whose estimate is QUADPACK's roundoff floor,
+    50 eps int |h|, gains nothing by it and is left whole.  Returns
+    (value, achieved error estimate), which exceeds ``tol`` only when
+    every interval is at that floor; raises :class:`QuadratureError` once
+    reaching ``tol`` needs more than ``_MAX_BISECTIONS`` bisections.
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    value, err, live = _qk15(h, a, b)
+    bisections = 0
+    while True:
+        achieved = float(err.sum())
+        if achieved <= tol or not live.any():
+            return complex(value.sum()), achieved
+        if bisections >= _MAX_BISECTIONS:
+            raise QuadratureError("quadrature did not reach its tolerance", achieved)
+        (order,) = np.nonzero(live)
+        order = order[np.argsort(-err[order], kind="stable")]
+        n = int(np.searchsorted(np.cumsum(err[order]), achieved - 0.5 * tol)) + 1
+        keep = np.ones(a.size, dtype=bool)
+        keep[order[:n]] = False
+        bisections += a.size - int(keep.sum())
+        mid = 0.5 * (a[~keep] + b[~keep])
+        new_a = np.concatenate((a[~keep], mid))
+        new_b = np.concatenate((mid, b[~keep]))
+        new_value, new_err, new_live = _qk15(h, new_a, new_b)
+        a = np.concatenate((a[keep], new_a))
+        b = np.concatenate((b[keep], new_b))
+        value = np.concatenate((value[keep], new_value))
+        err = np.concatenate((err[keep], new_err))
+        live = np.concatenate((live[keep], new_live))
 
 
 @functools.cache
@@ -100,7 +210,7 @@ def _spectral_weight(params: SystemParams):
     w2 = params.omega_bar**2
     g2 = params.g**2
 
-    def f(x: float) -> float:
+    def f(x):
         x2 = x * x
         return x2 / ((x2 - w2) ** 2 + 4.0 * g2 * x2)
 
@@ -125,72 +235,84 @@ def _shoulders(params: SystemParams) -> tuple[float, ...]:
     return tuple(sorted(p for p in points if p > 0.0))
 
 
-def _panel(f, weighted, a, b, kind, t, opts):
-    # the oscillatory-weight routine only pays off beyond a few periods per
-    # panel, and its reported error carries a coarse roundoff floor, so
-    # mildly oscillatory panels use plain adaptive Gauss-Kronrod instead
-    if t * (b - a) <= 20.0:
-        return quad(weighted, a, b, **opts)
-    return quad(f, a, b, weight=kind, wvar=t, **opts)
+def _qawo(f, a: float, b: float, t: float, tol: float) -> tuple[complex, float]:
+    """int_a^b f(x) e^{-ixt} dx by QUADPACK's QAWO, a cos and a sin pass."""
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as quadpack
+
+    opts = dict(wvar=t, epsabs=max(tol, _EPSABS_FLOOR), epsrel=1e-12, limit=200)
+    # the caller's error budget replaces QUADPACK's warning policy
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        re, re_err = quadpack(f, a, b, weight="cos", **opts)
+        im, im_err = quadpack(f, a, b, weight="sin", **opts)
+    return complex(re, -im), re_err + im_err
 
 
 def _fourier_semi_infinite(
-    params: SystemParams, t: float, kind: str, tol: float
-) -> tuple[float, float]:
-    """int_0^inf f(x) {cos,sin}(x t) dx for the spectral weight f, any t >= 0.
+    params: SystemParams, t: float, tol: float
+) -> tuple[complex, float]:
+    """F(t) = int_0^inf f(x) e^{-ixt} dx for the spectral weight f, any t >= 0.
 
-    Panels by :func:`_panel` up to the last shoulder point x0, one span in
-    ln x from x0 by decades while t x < ``_TAIL_PHASE`` and x < ``_PANEL_CAP``,
-    then the tail.  Only a tail that starts at t x >= ``_TAIL_PHASE`` goes
-    to QAWF: given one that does not oscillate (g = 0.5, t = 1e-8, x > 2,
-    worth 0.540), QAWF returns -1.6e-8 with an error estimate of 9e-12 and
-    no warning.  Any other tail goes to plain adaptive quadrature.
+    Real panels run from 0 through the shoulder points to the last one,
+    x0; from x0 the ray x = x0 - i x0 (e^v - 1), v in [0, V], closes the
+    path.  Every pole of f, +-kappa +- ig or +-i(g +- mu), has |Re x| < x0,
+    so the quadrant Re x >= x0, Im x <= 0 holds none and |e^{-ixt}| <= 1
+    there: the ray is exact for every t >= 0 once V is infinite, and the
+    cut at V leaves out about int_V^inf x0 e^v |x|^-2 dv = e^-V / x0,
+    which is counted in the achieved error.  Along the ray the integrand
+    does not oscillate; it falls like e^-v on the scale of x0 and like
+    exp(-t x0 (e^v - 1)) on the scale 1/(x0 t), and the initial edges
+    resolve both (without the second set, at g = 3 and t = 1e4, the ray
+    misses 4.6e-6 of f_00 and its error estimate stays below tol).
 
-    Returns (value, achieved error estimate), the sum of the pieces'
-    estimates, and raises QuadratureError when it exceeds ``tol``, which
-    the caller has checked against ``_EPSABS_FLOOR``.
+    Each real panel is pre-split to at most ``_PANEL_PHASE`` radians of
+    t x; one that spans more than ``_QAWO_PHASE`` goes to QAWO instead.
+    Every other piece goes to :func:`quad`, one call per run of adjacent
+    panels and one for the ray.  Returns (value, achieved error), the sum
+    of the pieces' estimates, and raises QuadratureError when it exceeds
+    ``tol``, which the caller has checked against ``_EPSABS_FLOOR``.  At
+    t = 0 the imaginary part, int f sin(0 x) dx, is exactly 0.
     """
     f = _spectral_weight(params)
-    trig = np.cos if kind == "cos" else np.sin
-
-    def weighted(x):
-        return f(x) * trig(t * x)
-
-    epsabs = max(tol / 100.0, _EPSABS_FLOOR)
-    opts = dict(epsabs=epsabs, epsrel=1e-12, limit=200)
     shoulders = _shoulders(params)
-    x0 = end = shoulders[-1]
-    while t * end < _TAIL_PHASE and end < _PANEL_CAP:
-        end *= 10.0
-    from scipy.integrate import IntegrationWarning
+    x0 = shoulders[-1]
+    runs, qawo = [[0.0]], []
+    for a, b in zip((0.0, *shoulders), shoulders):
+        if t * (b - a) > _QAWO_PHASE:
+            qawo.append((a, b))
+            runs.append([b])
+            continue
+        steps = max(_PANEL_PIECES, math.ceil(t * (b - a) / _PANEL_PHASE))
+        runs[-1].extend(np.linspace(a, b, steps + 1)[1:].tolist())
+    runs = [edges for edges in runs if len(edges) > 1]
 
-    # panel-level error budgeting replaces QUADPACK's warning policy
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        parts = [
-            _panel(f, weighted, a, b, kind, t, opts)
-            for a, b in zip((0.0, *shoulders), shoulders)
-        ]
-        if end > x0:
-            # in u = ln(x/x0), where x f(x) falls like e^-u: a few
-            # Gauss-Kronrod panels span all the decades
-            parts.append(quad(
-                lambda u: x0 * math.exp(u) * weighted(x0 * math.exp(u)),
-                0.0, math.log(end / x0), **opts,
-            ))
-        if t * end >= _TAIL_PHASE:
-            parts.append(quad(f, end, np.inf, weight=kind, wvar=t, epsabs=epsabs))
-        else:
-            # in units of end, so that QUADPACK's map of [1, inf) onto (0, 1]
-            # sees the 1/x^2 decay on its own scale
-            parts.append(quad(lambda y: end * weighted(end * y), 1.0, np.inf, **opts))
-    total = achieved = 0.0
-    for v, e in parts:
-        total += v
-        achieved += e
+    def real(x):
+        return f(x) * np.exp(-1j * t * x)
+
+    scale = x0 * t
+    reach = scale * math.expm1(_RAY_END)  # the decay t x0 (e^v - 1) at v = V
+    decay = [math.log1p(s / scale) for s in _RAY_DECAY if s < reach]
+    ray_edges = sorted({0.0, *_RAY_STEPS, *decay, _RAY_END})
+
+    # e^{-ixt} = e^{-i x0 t} e^{-x0 t (e^v - 1)} and dx = -i x0 e^v dv
+    factor = -1j * x0 * cmath.exp(-1j * x0 * t)
+
+    def ray(v):
+        e = np.expm1(v)
+        return f(x0 - (1j * x0) * e) * (np.exp(-scale * e) * (1.0 + e)) * factor
+
+    # each numpy integral and each QAWO pass may use an equal share of half
+    # the budget
+    share = tol / (2 * (len(runs) + 1 + 2 * len(qawo)))
+    parts = [quad(real, edges, share) for edges in runs]
+    parts.append(quad(ray, ray_edges, share))
+    parts.extend(_qawo(f, a, b, t, share) for a, b in qawo)
+    total = sum(v for v, _ in parts)
+    achieved = sum(e for _, e in parts) + math.exp(-_RAY_END) / x0
     if achieved > tol:
         raise QuadratureError("quadrature did not reach its tolerance", achieved)
-    return total, achieved
+    return (complex(total.real) if t == 0.0 else total), achieved
 
 
 def _checked_times(t, positive: bool = False) -> np.ndarray:
@@ -213,12 +335,20 @@ def _checked_times(t, positive: bool = False) -> np.ndarray:
 def freespace_f00_numeric(params: SystemParams, t, tol: float = DEFAULT_TOL):
     """Free-space f_00(t) by direct quadrature, any coupling regime.
 
-    Real part (4g/pi) * cos transform, imaginary part -(4g/pi) * sin
-    transform of the spectral weight, each to absolute accuracy ``tol``.
-    ``t`` is a scalar (returns a complex) or a grid (returns an array).
-    Raises :class:`QuadratureError`, before integrating and even on an
-    empty grid, unless tol * pi/(4g) per transform is finite and >= 1e-13.
+    (4g/pi) times the complex transform int_0^inf f(x) e^{-ixt} dx of the
+    spectral weight, to absolute accuracy ``tol``.  ``t`` is a scalar
+    (returns a complex) or a grid (returns an array).  Raises
+    :class:`QuadratureError`, before integrating and even on an empty
+    grid, unless tol * pi/(4g) is finite and >= 1e-13.
     """
+    values, _ = _numeric_with_error(params, t, tol)
+    return complex(values[0]) if np.ndim(t) == 0 else values
+
+
+def _numeric_with_error(
+    params: SystemParams, t, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """f_00 by quadrature and its achieved error estimate, at each time of t."""
     times = _checked_times(t)
     pref = 4.0 * params.g / np.pi
     budget = tol / pref
@@ -227,12 +357,13 @@ def freespace_f00_numeric(params: SystemParams, t, tol: float = DEFAULT_TOL):
             f"tolerance must be finite and at least {_EPSABS_FLOOR:g} per "
             "transform"
         )
-    out = np.empty(times.shape, dtype=complex)
+    values = np.empty(times.shape, dtype=complex)
+    errors = np.empty(times.shape)
     for i, s in enumerate(times.ravel().tolist()):
-        re, _ = _fourier_semi_infinite(params, s, "cos", tol=budget)
-        im, _ = _fourier_semi_infinite(params, s, "sin", tol=budget)
-        out.flat[i] = complex(pref * re, -pref * im)
-    return complex(out[0]) if np.ndim(t) == 0 else out
+        value, achieved = _fourier_semi_infinite(params, s, budget)
+        values.flat[i] = pref * value
+        errors.flat[i] = pref * achieved
+    return values, errors
 
 
 def g_integral(params: SystemParams, t, tol: float = DEFAULT_TOL):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -474,6 +475,14 @@ def test_selftest_passes_quickly():
     assert "unitarity_rows" in names
 
 
+def test_selftest_prints_the_quadrature_error_estimate():
+    results = cli.selftest_checks(cli.RunConfig(n_modes=300))
+    (result,) = [r for r in results if r.name == "freespace_consistency"]
+    estimate = re.search(r", max error estimate (\S+)$", result.detail)
+    assert estimate is not None, result.detail
+    assert 0.0 < float(estimate.group(1)) <= 1e-9
+
+
 def test_selftest_flags_injected_corruption(monkeypatch):
     config = cli.RunConfig(n_modes=120)
     params = config.make_params()
@@ -683,15 +692,28 @@ for argv in (
         (
             "import dressedcavity as dc\n"
             "dc.freespace_f00_numeric(dc.make_params(1.0, 0.5, delta=0.1), 1.0)",
+            set(),
+            {_INTEGRATE, _SPECIAL},
+        ),
+        (
+            "import dressedcavity as dc\n"
+            "dc.freespace_f00_numeric(dc.make_params(1.0, 0.5, delta=0.1), 1e4)",
             {_INTEGRATE},
             set(),
         ),
     ],
-    ids=["cavity_commands", "figure1", "freespace_f00_numeric"],
+    ids=[
+        "cavity_commands",
+        "figure1",
+        "freespace_f00_numeric",
+        "freespace_f00_numeric_qawo",
+    ],
 )
 def test_scipy_loads_only_where_free_space_is_computed(tmp_path, code, loaded, not_loaded):
     """Start-up contract, in a fresh interpreter: the cavity side needs numpy
-    alone, the closed form loads scipy.special, quadrature scipy.integrate."""
+    alone, the closed form loads scipy.special, and quadrature loads
+    scipy.integrate only for a real panel past the QAWO phase (at t = 1e4
+    the panel [0, 2] spans 2e4 rad)."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(dc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -1,3 +1,7 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -393,3 +397,151 @@ def test_numeric_matches_mpmath_quadosc(g, t):
     p = dc.make_params(1.0, g, delta=0.1)
     numeric = dc.freespace_f00_numeric(p, t, tol=1e-10)
     assert abs(numeric - quadosc_f00(p, t)) <= 1e-10
+
+
+def test_qk15_gauss_part_is_the_7_point_gauss_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    gauss = freespace._QK15_GAUSS != 0.0
+    assert np.abs(freespace._QK15_NODES[gauss] - nodes).max() <= 1e-15
+    assert np.abs(freespace._QK15_GAUSS[gauss] - weights).max() <= 1e-15
+
+
+def test_kronrod_weights_integrate_monomials_through_degree_22():
+    for k in range(23):
+        total = math.fsum(freespace._QK15_KRONROD * freespace._QK15_NODES**k)
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(total - exact) <= 2e-16, k
+
+
+def test_quad_integrates_to_its_tolerance():
+    h = lambda x: np.exp(-1j * 50.0 * x)
+    value, achieved = freespace.quad(h, [0.0, 2.0], 1e-12)
+    assert abs(value - (1.0 - np.exp(-100j)) / 50j) <= 1e-14
+    assert 0.0 < achieved <= 1e-12
+
+
+def test_quad_is_the_same_object_after_its_first_call():
+    """In a fresh interpreter, so that no earlier call has run: a quad that
+    rebinds itself on first use would escape a spy or tracer set before."""
+    probe = (
+        "from dressedcavity import freespace as fs\n"
+        "import dressedcavity as dc\n"
+        "before = fs.quad\n"
+        "fs.quad(lambda x: x + 0j, [0.0, 1.0], 1e-12)\n"
+        "dc.freespace_f00_numeric(dc.make_params(1.0, 0.5, delta=0.1), 1.0)\n"
+        "assert fs.quad is before and fs.quad.__module__ == fs.__name__\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_quad_stops_at_the_roundoff_floor():
+    """A zero tolerance lies below QUADPACK's floor, 50 eps int |h|, which
+    no bisection lowers: quad returns what it reached instead of spinning."""
+    value, achieved = freespace.quad(lambda x: np.exp(1j * x), [0.0, 1.0], 0.0)
+    assert abs(value - (np.exp(1j) - 1.0) / 1j) <= 1e-15
+    assert 0.0 < achieved <= 1e-13
+
+
+def test_quad_raises_at_its_subdivision_cap():
+    # 1e5 radians in one interval: resolving them takes some 3e4 intervals
+    h = lambda x: np.exp(1e5j * x)
+    with pytest.raises(QuadratureError, match="tolerance") as excinfo:
+        freespace.quad(h, [0.0, 1.0], 1e-12)
+    assert excinfo.value.achieved > 1e-12
+
+
+@pytest.mark.parametrize("g", [0.05, 0.5, 3.0])
+def test_time_below_the_qawo_phase_makes_two_numpy_integrals(monkeypatch, g):
+    """Panels from 0 to the last shoulder x0, then the ray from x0; t x0
+    <= 280 rad for t <= 40 and x0 <= 7, so QAWO is never called there."""
+    calls = []
+    real_quad = freespace.quad
+
+    def spy(h, edges, tol):
+        calls.append(np.asarray(edges, dtype=float))
+        return real_quad(h, edges, tol)
+
+    def no_qawo(*args):
+        raise AssertionError("QAWO called below its phase")
+
+    monkeypatch.setattr(freespace, "quad", spy)
+    monkeypatch.setattr(freespace, "_qawo", no_qawo)
+    p = dc.make_params(1.0, g, delta=0.1)
+    x0 = freespace._shoulders(p)[-1]
+    t = 40.0
+    assert t * x0 <= 280.0 < freespace._QAWO_PHASE
+    numeric = dc.freespace_f00_numeric(p, t)
+    panels, ray = calls
+    assert panels[0] == 0.0 and panels[-1] == x0
+    assert np.diff(t * panels).max() <= freespace._PANEL_PHASE * (1 + 1e-12)
+    assert ray[0] == 0.0 and ray[-1] == freespace._RAY_END
+    assert abs(numeric) <= 1.0
+
+
+def weighted_quad_f00(params, t):
+    """f_00 by QUADPACK's QAWF on [0, inf), cos and sin passes."""
+    w, g = params.omega_bar, params.g
+    f = lambda x: x * x / ((x * x - w * w) ** 2 + 4 * g * g * x * x)
+    pref = 4 * g / np.pi
+    re = quad(f, 0, np.inf, weight="cos", wvar=t)[0]
+    im = quad(f, 0, np.inf, weight="sin", wvar=t)[0]
+    return complex(pref * re, -pref * im)
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-6])
+def test_ray_resolves_its_decay_scale_at_small_times(t):
+    """The decay exp(-t x0 (e^v - 1)) sets in near v = ln(1/(x0 t)), far
+    out on the ray; edges on the x0 scale alone miss it by a few tol."""
+    p = dc.make_params(1.0, 0.2, delta=0.1)
+    closed = dc.freespace_f00_closed(p, t)
+    for tol in (1e-6, 1e-8, 1e-10):
+        assert abs(dc.freespace_f00_numeric(p, t, tol=tol) - closed) <= tol
+
+
+@pytest.mark.parametrize("t", [1e3, 1e4])
+@pytest.mark.parametrize("g", [0.05, 0.5, 1.5, 3.0])
+def test_ray_resolves_its_decay_scale_at_large_times(t, g):
+    """At large t the ray's integrand dies within 1/(x0 t) of v = 0; a ray
+    whose first panel ignores that scale misses its whole value (1.6e-5
+    against 1.3e-12 at g = 0.5, t = 1e4) and reports a tiny error."""
+    p = dc.make_params(1.0, g, delta=0.1)
+    if g < 1.0:
+        tol = 1e-10
+        reference = dc.freespace_f00_closed(p, t)
+    else:
+        # QAWF is itself off by up to 5e-10 here
+        tol = 1e-8
+        reference = weighted_quad_f00(p, t)
+    assert abs(dc.freespace_f00_numeric(p, t, tol=tol) - reference) <= tol
+
+
+def test_achieved_error_estimate_is_kept_per_time(weak):
+    times = np.array([0.0, 1e-6, 0.5, 5.0, 40.0, 1e3, 1e4])
+    values, achieved = freespace._numeric_with_error(weak, times, 1e-9)
+    assert np.array_equal(values, dc.freespace_f00_numeric(weak, times, 1e-9))
+    assert achieved.shape == times.shape
+    # the cut of the ray at V, e^-V / x0, is always counted
+    x0 = freespace._shoulders(weak)[-1]
+    cut = 4.0 * weak.g / np.pi * math.exp(-freespace._RAY_END) / x0
+    assert np.all((cut <= achieved) & (achieved <= 1e-9))
+
+
+def test_ray_cut_is_counted_in_the_achieved_error(monkeypatch, weak):
+    """With every integral reporting no error, what remains is e^-V / x0."""
+    real_quad = freespace.quad
+    monkeypatch.setattr(
+        freespace, "quad", lambda h, edges, tol: (real_quad(h, edges, tol)[0], 0.0)
+    )
+    _, achieved = freespace._numeric_with_error(weak, np.array([0.0, 5.0]), 1e-9)
+    x0 = freespace._shoulders(weak)[-1]
+    cut = 4.0 * weak.g / np.pi * math.exp(-freespace._RAY_END) / x0
+    assert achieved == pytest.approx([cut, cut], rel=1e-12, abs=0.0)
