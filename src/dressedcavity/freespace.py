@@ -19,11 +19,13 @@ t x.  From x0 the path turns down the ray x = x0 - i x0 (e^v - 1),
 v in [0, V]: every pole of f has |Re x| < x0, so the quadrant
 Re x >= x0, Im x <= 0 holds none, |e^{-ixt}| <= 1 there, and the ray
 replaces the oscillating tail at every t >= 0; the cut at V leaves out
-about e^-V / x0.  Both parts go through :func:`quad`, a globally adaptive
-15-point Gauss-Kronrod rule in numpy (QUADPACK's QK15, Piessens et al.,
-QUADPACK, 1983).  The one exception is a real panel spanning more than
-Phi = ``_QAWO_PHASE`` radians of t x: its cost would grow with t, so it
-goes to QUADPACK's QAWO, whose Chebyshev moments do not.
+about e^-V / x0.  Panels and ray together are one call of :func:`quad`,
+a globally adaptive 15-point Gauss-Kronrod rule in numpy (QUADPACK's
+QK15, Piessens et al., QUADPACK, 1983) with one error budget over all
+of their intervals.  The one exception is a real panel spanning more
+than Phi = ``_QAWO_PHASE`` radians of t x: its cost would grow with t, so
+it goes to QUADPACK's QAWO, whose Chebyshev moments do not, and the
+numpy intervals on either side of it stay in the one call.
 
 Closed form, weak coupling (g < w, kappa = sqrt(w^2 - g^2)).  The
 denominator has the roots r = +-kappa +- ig, and partial fractions give
@@ -68,9 +70,6 @@ from .params import REGIME_WEAK, SystemParams
 
 #: default absolute accuracy of the semi-infinite quadratures
 DEFAULT_TOL = 1e-8
-# smallest absolute accuracy asked of a quadrature call; a transform whose
-# budget lies below it is refused, since no call is asked to reach it
-_EPSABS_FLOOR = 1e-13
 
 # QUADPACK's 15-point Kronrod rule (dqk15) on [-1, 1]: nodes, Kronrod
 # weights, and the weights of the embedded 7-point Gauss rule, which are
@@ -156,23 +155,23 @@ def _qk15(h, a: np.ndarray, b: np.ndarray):
     return kronrod * half, np.maximum(err, floor), err > floor
 
 
-def quad(h, edges, tol: float) -> tuple[complex, float]:
-    """int h(x) dx over [edges[0], edges[-1]] to absolute accuracy ``tol``.
+def quad(h, intervals, tol: float) -> tuple[complex, float]:
+    """int h(x) dx over the union of ``intervals`` to absolute accuracy ``tol``.
 
     Globally adaptive 15-point Gauss-Kronrod quadrature (QUADPACK's QK15
     rule and error estimate), vectorized over intervals.  ``h`` maps an
-    array of points to the complex values of the integrand; ``edges``
-    are increasing breakpoints, and each interval between them starts
-    unsplit.  While the summed error estimate exceeds ``tol``, the
-    intervals of largest estimate, enough to cover the excess, are
-    bisected; an interval whose estimate is QUADPACK's roundoff floor,
-    50 eps int |h|, gains nothing by it and is left whole.  Returns
-    (value, achieved error estimate), which exceeds ``tol`` only when
-    every interval is at that floor; raises :class:`QuadratureError` once
-    reaching ``tol`` needs more than ``_MAX_BISECTIONS`` bisections.
+    array of points to the complex values of the integrand; ``intervals``
+    holds (a, b) pairs with a < b that do not overlap, each of which
+    starts unsplit, and one error budget covers them all.  While the
+    summed error estimate exceeds ``tol``, the intervals of largest
+    estimate, enough to cover the excess, are bisected; an interval whose
+    estimate is QUADPACK's roundoff floor, 50 eps int |h|, gains nothing
+    by it and is left whole.  Returns (value, achieved error estimate),
+    which exceeds ``tol`` only when every interval is at that floor;
+    raises :class:`QuadratureError` once reaching ``tol`` needs more than
+    ``_MAX_BISECTIONS`` bisections.
     """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
+    a, b = np.asarray(intervals, dtype=float).T
     value, err, live = _qk15(h, a, b)
     bisections = 0
     while True:
@@ -240,7 +239,7 @@ def _qawo(f, a: float, b: float, t: float, tol: float) -> tuple[complex, float]:
     from scipy.integrate import IntegrationWarning
     from scipy.integrate import quad as quadpack
 
-    opts = dict(wvar=t, epsabs=max(tol, _EPSABS_FLOOR), epsrel=1e-12, limit=200)
+    opts = dict(wvar=t, epsabs=tol, epsrel=1e-12, limit=200)
     # the caller's error budget replaces QUADPACK's warning policy
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -250,7 +249,7 @@ def _qawo(f, a: float, b: float, t: float, tol: float) -> tuple[complex, float]:
 
 
 def _fourier_semi_infinite(
-    params: SystemParams, t: float, tol: float
+    f, shoulders: tuple[float, ...], t: float, tol: float
 ) -> tuple[complex, float]:
     """F(t) = int_0^inf f(x) e^{-ixt} dx for the spectral weight f, any t >= 0.
 
@@ -268,45 +267,53 @@ def _fourier_semi_infinite(
 
     Each real panel is pre-split to at most ``_PANEL_PHASE`` radians of
     t x; one that spans more than ``_QAWO_PHASE`` goes to QAWO instead.
-    Every other piece goes to :func:`quad`, one call per run of adjacent
-    panels and one for the ray.  Returns (value, achieved error), the sum
-    of the pieces' estimates, and raises QuadratureError when it exceeds
-    ``tol``, which the caller has checked against ``_EPSABS_FLOOR``.  At
-    t = 0 the imaginary part, int f sin(0 x) dx, is exactly 0.
+    Every other piece, ray and real, goes to one call of :func:`quad` on
+    one coordinate u: the ray at v = -u for u in [-V, 0], which keeps v
+    exact next to x0, and the real axis at x = u for u in [0, x0].  Each
+    branch of the integrand is evaluated on its own points only, so the
+    ray's exp(-t x0 (e^v - 1)) never sees v < 0.  Returns (value,
+    achieved error), the sum of the pieces' estimates, and raises
+    QuadratureError when it exceeds ``tol``, whose numpy share
+    :func:`_numeric_with_error` has checked against the roundoff floor.
+    At t = 0 the imaginary part, int f sin(0 x) dx, is exactly 0.
     """
-    f = _spectral_weight(params)
-    shoulders = _shoulders(params)
     x0 = shoulders[-1]
-    runs, qawo = [[0.0]], []
-    for a, b in zip((0.0, *shoulders), shoulders):
-        if t * (b - a) > _QAWO_PHASE:
-            qawo.append((a, b))
-            runs.append([b])
-            continue
-        steps = max(_PANEL_PIECES, math.ceil(t * (b - a) / _PANEL_PHASE))
-        runs[-1].extend(np.linspace(a, b, steps + 1)[1:].tolist())
-    runs = [edges for edges in runs if len(edges) > 1]
-
-    def real(x):
-        return f(x) * np.exp(-1j * t * x)
-
     scale = x0 * t
     reach = scale * math.expm1(_RAY_END)  # the decay t x0 (e^v - 1) at v = V
     decay = [math.log1p(s / scale) for s in _RAY_DECAY if s < reach]
-    ray_edges = sorted({0.0, *_RAY_STEPS, *decay, _RAY_END})
+    ray_edges = sorted({0.0, *_RAY_STEPS, *decay, _RAY_END}, reverse=True)
+    runs, qawo = [[-v for v in ray_edges]], []
+    for a, b in zip((0.0, *shoulders), shoulders):
+        phase = t * (b - a)
+        if phase > _QAWO_PHASE:
+            qawo.append((a, b))
+            runs.append([b])
+            continue
+        steps = max(_PANEL_PIECES, math.ceil(phase / _PANEL_PHASE))
+        width = (b - a) / steps
+        runs[-1].extend([a + k * width for k in range(1, steps)])
+        runs[-1].append(b)
+    edges = [np.array(run) for run in runs]
+    intervals = np.concatenate([(e[:-1], e[1:]) for e in edges], axis=1).T
 
     # e^{-ixt} = e^{-i x0 t} e^{-x0 t (e^v - 1)} and dx = -i x0 e^v dv
     factor = -1j * x0 * cmath.exp(-1j * x0 * t)
 
-    def ray(v):
-        e = np.expm1(v)
-        return f(x0 - (1j * x0) * e) * (np.exp(-scale * e) * (1.0 + e)) * factor
+    def h(u):
+        out = np.empty(u.shape, dtype=complex)
+        on_ray = u < 0.0
+        real = ~on_ray
+        x = u[real]
+        out[real] = f(x) * np.exp(-1j * t * x)
+        e = np.expm1(-u[on_ray])
+        weight = f(x0 - (1j * x0) * e)
+        out[on_ray] = weight * (np.exp(-scale * e) * (1.0 + e)) * factor
+        return out
 
-    # each numpy integral and each QAWO pass may use an equal share of half
+    # the numpy integral and each QAWO pass may use an equal share of half
     # the budget
-    share = tol / (2 * (len(runs) + 1 + 2 * len(qawo)))
-    parts = [quad(real, edges, share) for edges in runs]
-    parts.append(quad(ray, ray_edges, share))
+    share = tol / (2 * (1 + 2 * len(qawo)))
+    parts = [quad(h, intervals, share)]
     parts.extend(_qawo(f, a, b, t, share) for a, b in qawo)
     total = sum(v for v, _ in parts)
     achieved = sum(e for _, e in parts) + math.exp(-_RAY_END) / x0
@@ -323,7 +330,7 @@ def _checked_times(t, positive: bool = False) -> np.ndarray:
     """
     times = np.array(t, dtype=float, ndmin=1)
     low = times > 0.0 if positive else times >= 0.0
-    if not (low & (times < np.inf)).all():  # NaN fails both comparisons
+    if np.count_nonzero(low & (times < np.inf)) < times.size:  # NaN fails both
         raise ApproximationDomainError(
             "asymptotic form needs t > 0 (finite; it diverges at t = 0)"
             if positive
@@ -339,7 +346,11 @@ def freespace_f00_numeric(params: SystemParams, t, tol: float = DEFAULT_TOL):
     spectral weight, to absolute accuracy ``tol``.  ``t`` is a scalar
     (returns a complex) or a grid (returns an array).  Raises
     :class:`QuadratureError`, before integrating and even on an empty
-    grid, unless tol * pi/(4g) is finite and >= 1e-13.
+    grid, unless tol is finite and the numpy integral's share of it,
+    tol / (2 (1 + 2q)) at the time with the most QAWO panels q, is at
+    least 50 eps: QUADPACK's roundoff floor on the integral of the
+    weight, which in units of f_00 is the same at every g.  With no QAWO
+    panel that is tol >= 100 eps, about 2.2e-14.
     """
     values, _ = _numeric_with_error(params, t, tol)
     return complex(values[0]) if np.ndim(t) == 0 else values
@@ -350,17 +361,23 @@ def _numeric_with_error(
 ) -> tuple[np.ndarray, np.ndarray]:
     """f_00 by quadrature and its achieved error estimate, at each time of t."""
     times = _checked_times(t)
-    pref = 4.0 * params.g / np.pi
-    budget = tol / pref
-    if not _EPSABS_FLOOR <= budget < np.inf:  # NaN fails both comparisons
+    f = _spectral_weight(params)
+    shoulders = _shoulders(params)
+    # the latest time has the most QAWO panels, q, and so the smallest
+    # numpy share, tol / (2 (1 + 2q))
+    latest = float(times.max(initial=0.0))
+    panels = zip((0.0, *shoulders), shoulders)
+    q = sum(latest * (b - a) > _QAWO_PHASE for a, b in panels)
+    if not _ROUNDOFF <= tol / (2 * (1 + 2 * q)) < np.inf:  # NaN fails both
         raise QuadratureError(
-            f"tolerance must be finite and at least {_EPSABS_FLOOR:g} per "
-            "transform"
+            f"tolerance must be finite and leave the numpy integral at least "
+            f"{_ROUNDOFF:.3g} of f_00, its roundoff floor"
         )
+    pref = 4.0 * params.g / np.pi
     values = np.empty(times.shape, dtype=complex)
     errors = np.empty(times.shape)
     for i, s in enumerate(times.ravel().tolist()):
-        value, achieved = _fourier_semi_infinite(params, s, budget)
+        value, achieved = _fourier_semi_infinite(f, shoulders, s, tol / pref)
         values.flat[i] = pref * value
         errors.flat[i] = pref * achieved
     return values, errors
@@ -384,12 +401,14 @@ def _scaled_exp1(z: np.ndarray) -> np.ndarray:
 
     out = np.empty_like(z)
     small = np.abs(z) < _LAGUERRE_MIN_ABS
-    out[small] = np.exp(z[small]) * exp1(z[small])
+    n_small = np.count_nonzero(small)
+    if n_small:
+        out[small] = np.exp(z[small]) * exp1(z[small])
     nodes, weights = _laguerre_rule()
     (idx,) = np.nonzero(~small)
     for s in range(0, idx.size, _LAGUERRE_CHUNK):
         block = idx[s : s + _LAGUERRE_CHUNK]
-        out[block] = np.sum(weights / (nodes + z[block, None]), axis=1)
+        out[block] = (weights / (nodes + z[block][:, None])).sum(axis=1)
     return out
 
 
@@ -425,17 +444,20 @@ def _closed_imag(params: SystemParams, times: np.ndarray) -> np.ndarray:
     pos = times > 0.0
     z = (g - 1j * kappa) * times[pos]
     far = np.abs(z) >= _ASYMPTOTIC_MIN_ABS
+    n_far = np.count_nonzero(far)
     f = np.empty_like(z)
     # skipping empty blocks keeps a scalar call clear of the per-term loops
-    if far.any():
+    # and of work on empty arrays
+    if n_far:
         f[far] = _asymptotic_f(z[far])
-    if not far.all():
+    if n_far < z.size:
         from scipy.special import expi
 
-        near = z[~far]
+        close = ~far
+        near = z[close]
         series = g > _EI_SERIES_MIN_RATIO * kappa
         ei = _ei_series(near) if series else expi(near)
-        f[~far] = _scaled_exp1(near) + np.exp(-near) * ei
+        f[close] = _scaled_exp1(near) + np.exp(-near) * ei
     out[pos] = ((g / kappa - 1j) * f).imag / np.pi
     return out
 
@@ -481,7 +503,7 @@ def freespace_survival_asymptotic(params: SystemParams, t):
     ) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         out = osc + 64.0 * g**2 / (w**8 * times**6)
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) < out.size:
         raise ApproximationDomainError(
             f"asymptotic form overflows at t = {times.min():g}"
         )

@@ -173,14 +173,8 @@ def test_numeric_handles_strong_coupling(strong):
     # completeness holds in any regime
     f0 = dc.freespace_f00_numeric(strong, 0.0, tol=1e-9)
     assert f0.real == pytest.approx(1.0, abs=1e-9)
-    # cross-check against plain weighted quadrature at one time
-    w, g = strong.omega_bar, strong.g
-    f = lambda x: x * x / ((x * x - w * w) ** 2 + 4 * g * g * x * x)
-    re_ref = (4 * g / np.pi) * quad(
-        f, 0, np.inf, weight="cos", wvar=3.0, limit=2000
-    )[0]
     numeric = dc.freespace_f00_numeric(strong, 3.0, tol=1e-9)
-    assert numeric.real == pytest.approx(re_ref, abs=1e-7)
+    assert abs(numeric - contour_f00(strong, 3.0)) <= 1e-9
 
 
 def test_unreachable_tolerance_raises(weak):
@@ -189,23 +183,58 @@ def test_unreachable_tolerance_raises(weak):
     assert excinfo.value.achieved > 0.0
 
 
-def test_tolerance_below_quadrature_floor_refused(monkeypatch):
-    """At g=10 the budget per transform, tol*pi/(4g), is 7.9e-14 < 1e-13."""
+def quad_spy(monkeypatch):
+    """Record the intervals of every freespace.quad call, then run it."""
     calls = []
     real_quad = freespace.quad
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real_quad(*args, **kwargs)
+    def spy(h, intervals, tol):
+        calls.append(np.asarray(intervals, dtype=float))
+        return real_quad(h, intervals, tol)
 
     monkeypatch.setattr(freespace, "quad", spy)
+    return calls
+
+
+def test_tolerance_below_quadrature_floor_refused(monkeypatch):
+    """The numpy integral of a time gets tol / (2 (1 + 2q)), q the time's
+    QAWO panels, and its roundoff floor is 50 eps of f_00 at every g.  At
+    g = 10, where [0, 21] is one panel, tol = 5e-14 leaves t = 2 (q = 0)
+    2.5e-14 but t = 445.9 (q = 1) 8.3e-15: a grid holding 445.9 is refused
+    before its earlier times integrate."""
+    calls = quad_spy(monkeypatch)
     p = dc.make_params(1.0, 10.0, delta=0.1)
-    for t in (0.0, 2.0, 445.9, np.array([])):
-        with pytest.raises(QuadratureError, match="tolerance"):
-            dc.freespace_f00_numeric(p, t, tol=1e-12)
-        with pytest.raises(QuadratureError, match="tolerance"):
-            dc.g_integral(p, t, tol=1e-12)
+    for t in (445.9, np.array([0.0, 2.0, 445.9])):
+        with pytest.raises(QuadratureError, match="no integration ran"):
+            dc.freespace_f00_numeric(p, t, tol=5e-14)
+        with pytest.raises(QuadratureError, match="no integration ran"):
+            dc.g_integral(p, t, tol=5e-14)
+    for t in (0.0, 2.0, np.array([])):
+        with pytest.raises(QuadratureError, match="no integration ran"):
+            dc.freespace_f00_numeric(p, t, tol=1e-14)
     assert calls == []
+    # the tolerance the old floor, tol pi / (4g) >= 1e-13, refused here
+    assert np.isfinite(dc.freespace_f00_numeric(p, 2.0, tol=1e-12))
+    assert np.isfinite(dc.freespace_f00_numeric(p, 445.9, tol=1e-12))
+
+
+@pytest.mark.parametrize("g", [0.01, 0.5, 10.0])
+def test_tolerance_floor_is_100_eps_of_f00_below_the_qawo_phase(monkeypatch, g):
+    """With no QAWO panel the numpy share is tol / 2, so the floor sits at
+    tol = 100 eps at every g.  At g = 0.01 the old rule admitted 1e-14
+    (tol pi / (4g) = 7.9e-13) and failed only after integrating."""
+    calls = quad_spy(monkeypatch)
+    p = dc.make_params(1.0, g, delta=0.1)
+    eps = np.finfo(float).eps
+    for tol in (1e-14, 100 * eps * (1 - 1e-12)):
+        for t in (0.0, 2.0, np.array([0.0, 3.3])):
+            with pytest.raises(QuadratureError, match="no integration ran"):
+                dc.freespace_f00_numeric(p, t, tol=tol)
+    assert calls == []
+    tol = 100 * eps * (1 + 1e-12)
+    values, achieved = freespace._numeric_with_error(p, np.array([0.0, 3.3]), tol)
+    assert len(calls) == 2 and np.all(achieved <= tol)
+    assert abs(values[0] - 1.0) <= tol
 
 
 def test_refused_tolerance_says_no_integration_ran(weak):
@@ -323,6 +352,24 @@ def test_closed_grid_equals_scalar_calls():
         assert dc.freespace_f00_closed(p, np.array([1.0])).shape == (1,)
 
 
+@pytest.mark.parametrize("g", [0.05, 0.5, 0.999])
+def test_scalar_calls_equal_the_grid_on_both_sides_of_each_switch(g):
+    """The closed form switches at |z| = 2 and 60, with |z| = omega_bar t,
+    and skips whichever branch a call leaves empty; a scalar call at each
+    side of a switch, alone or in a grid that mixes every branch and t = 0,
+    gives the same bits.  So does the asymptotic survival."""
+    p = dc.make_params(1.0, g, delta=0.1)
+    times = np.array([60.1, 0.0, 1.9, 59.9, 2.1, 3.3, 1e-3, 40.0, 600.0, 2.0, 60.0])
+    grid = dc.freespace_f00_closed(p, times)
+    scalars = np.array([dc.freespace_f00_closed(p, float(t)) for t in times])
+    assert np.array_equal(grid.view(float), scalars.view(float))
+    late = times[times > 0.0]
+    survival = dc.freespace_survival_asymptotic(p, late)
+    assert survival.tolist() == [
+        dc.freespace_survival_asymptotic(p, float(t)) for t in late
+    ]
+
+
 def test_asymptotic_survival_on_grid(weak):
     times = np.linspace(10.0, 50.0, 41)
     grid = dc.freespace_survival_asymptotic(weak, times)
@@ -360,16 +407,51 @@ def test_strong_coupling_small_t_follows_linear_decay(g):
         assert abs(numeric.real - (1.0 - 2.0 * g * t)) <= 1e-9, t
 
 
+def contour_f00(params, t):
+    """f_00(t) at 30 digits by mpmath's quad along the segment [0, x0], in
+    pieces of at most 3 radians of t x, and the ray x0 - is, s >= 0.
+
+    x0, the last shoulder point, lies past the real part of every pole, so
+    the quarter plane the ray closes holds none.  mpmath shares no code with
+    the numpy rule; its tanh-sinh nodes differ from the Kronrod ones.
+    """
+    with mp.workdps(30):
+        w, g, tt = mp.mpf(params.omega_bar), mp.mpf(params.g), mp.mpf(t)
+        x0 = mp.mpf(freespace._shoulders(params)[-1])
+        f = lambda x: x * x / ((x * x - w * w) ** 2 + 4 * g * g * x * x)
+        pieces = max(1, int(mp.ceil(tt * x0 / 3)))
+        segment = mp.quad(
+            lambda x: f(x) * mp.expj(-tt * x), mp.linspace(0, x0, pieces + 1)
+        )
+        ray = mp.quad(
+            lambda s: -1j * f(x0 - 1j * s) * mp.exp(-tt * s),
+            sorted([0, 1 / tt, 10 / tt, x0, 10 * x0, mp.inf]),
+        )
+        return complex(4 * g / mp.pi * (segment + mp.expj(-tt * x0) * ray))
+
+
+# contour_f00 where its segment spans thousands of radians, computed once:
+# each agrees to below 1e-35 with mpmath's quad along x = s e^{-i pi/4},
+# s >= 0, a path that holds for strong coupling, whose poles are all on
+# the imaginary axis
+CONTOUR_F00 = {
+    (1.5, 900.0): complex(0.0, 5.240212419512089e-09),
+    (1.5, 925.0): complex(0.0, 4.8266834765321035e-09),
+    (1.5, 950.0): complex(0.0, 4.455546563399665e-09),
+    (1.5, 975.0): complex(0.0, 4.12150573409595e-09),
+    (1.5, 1000.0): complex(0.0, 3.82003955660085e-09),
+    (3.0, 1000.0): complex(0.0, 7.64255734135584e-09),
+    (1.5, 10000.0): complex(-1.436818456396536e-36, 3.819721842775741e-12),
+    (3.0, 10000.0): complex(0.0, 7.639468437632684e-12),
+}
+
+
 @pytest.mark.parametrize("g", [1.2, 2.0, 3.0])
 def test_numeric_strong_coupling_matches_weighted_quad(g):
-    w = 1.0
-    p = dc.make_params(w, g, delta=0.1)
-    f = lambda x: x * x / ((x * x - w * w) ** 2 + 4 * g * g * x * x)
-    pref = 4 * g / np.pi
-    re_ref = pref * quad(f, 0, np.inf, weight="cos", wvar=3.0, limit=2000)[0]
-    im_ref = -pref * quad(f, 0, np.inf, weight="sin", wvar=3.0, limit=2000)[0]
+    """The weighted integral f(x) e^{-ixt} against mpmath at 30 digits."""
+    p = dc.make_params(1.0, g, delta=0.1)
     numeric = dc.freespace_f00_numeric(p, 3.0, tol=1e-10)
-    assert abs(numeric - complex(re_ref, im_ref)) <= 1e-9
+    assert abs(numeric - contour_f00(p, 3.0)) <= 1e-10
 
 
 def quadosc_f00(params, t):
@@ -415,8 +497,13 @@ def test_kronrod_weights_integrate_monomials_through_degree_22():
 
 def test_quad_integrates_to_its_tolerance():
     h = lambda x: np.exp(-1j * 50.0 * x)
-    value, achieved = freespace.quad(h, [0.0, 2.0], 1e-12)
+    value, achieved = freespace.quad(h, [(0.0, 2.0)], 1e-12)
     assert abs(value - (1.0 - np.exp(-100j)) / 50j) <= 1e-14
+    assert 0.0 < achieved <= 1e-12
+    # disjoint intervals, out of order, under one budget: [0, 0.5] u [1, 2]
+    value, achieved = freespace.quad(h, [(1.0, 2.0), (0.0, 0.5)], 1e-12)
+    exact = (1.0 - np.exp(-25j) + np.exp(-50j) - np.exp(-100j)) / 50j
+    assert abs(value - exact) <= 1e-14
     assert 0.0 < achieved <= 1e-12
 
 
@@ -427,7 +514,7 @@ def test_quad_is_the_same_object_after_its_first_call():
         "from dressedcavity import freespace as fs\n"
         "import dressedcavity as dc\n"
         "before = fs.quad\n"
-        "fs.quad(lambda x: x + 0j, [0.0, 1.0], 1e-12)\n"
+        "fs.quad(lambda x: x + 0j, [(0.0, 1.0)], 1e-12)\n"
         "dc.freespace_f00_numeric(dc.make_params(1.0, 0.5, delta=0.1), 1.0)\n"
         "assert fs.quad is before and fs.quad.__module__ == fs.__name__\n"
     )
@@ -446,7 +533,7 @@ def test_quad_is_the_same_object_after_its_first_call():
 def test_quad_stops_at_the_roundoff_floor():
     """A zero tolerance lies below QUADPACK's floor, 50 eps int |h|, which
     no bisection lowers: quad returns what it reached instead of spinning."""
-    value, achieved = freespace.quad(lambda x: np.exp(1j * x), [0.0, 1.0], 0.0)
+    value, achieved = freespace.quad(lambda x: np.exp(1j * x), [(0.0, 1.0)], 0.0)
     assert abs(value - (np.exp(1j) - 1.0) / 1j) <= 1e-15
     assert 0.0 < achieved <= 1e-13
 
@@ -455,46 +542,69 @@ def test_quad_raises_at_its_subdivision_cap():
     # 1e5 radians in one interval: resolving them takes some 3e4 intervals
     h = lambda x: np.exp(1e5j * x)
     with pytest.raises(QuadratureError, match="tolerance") as excinfo:
-        freespace.quad(h, [0.0, 1.0], 1e-12)
+        freespace.quad(h, [(0.0, 1.0)], 1e-12)
     assert excinfo.value.achieved > 1e-12
 
 
 @pytest.mark.parametrize("g", [0.05, 0.5, 3.0])
-def test_time_below_the_qawo_phase_makes_two_numpy_integrals(monkeypatch, g):
-    """Panels from 0 to the last shoulder x0, then the ray from x0; t x0
-    <= 280 rad for t <= 40 and x0 <= 7, so QAWO is never called there."""
-    calls = []
-    real_quad = freespace.quad
-
-    def spy(h, edges, tol):
-        calls.append(np.asarray(edges, dtype=float))
-        return real_quad(h, edges, tol)
+def test_time_below_the_qawo_phase_makes_one_numpy_integral(monkeypatch, g):
+    """One quad call per time, on one coordinate u: the ray at v = -u from
+    V down to 0, then the real panels from 0 to the last shoulder x0 at
+    most _PANEL_PHASE rad each.  t x0 <= 280 rad for t <= 40 and x0 <= 7,
+    so QAWO is never called there."""
+    calls = quad_spy(monkeypatch)
 
     def no_qawo(*args):
         raise AssertionError("QAWO called below its phase")
 
-    monkeypatch.setattr(freespace, "quad", spy)
     monkeypatch.setattr(freespace, "_qawo", no_qawo)
     p = dc.make_params(1.0, g, delta=0.1)
     x0 = freespace._shoulders(p)[-1]
     t = 40.0
     assert t * x0 <= 280.0 < freespace._QAWO_PHASE
-    numeric = dc.freespace_f00_numeric(p, t)
-    panels, ray = calls
-    assert panels[0] == 0.0 and panels[-1] == x0
-    assert np.diff(t * panels).max() <= freespace._PANEL_PHASE * (1 + 1e-12)
-    assert ray[0] == 0.0 and ray[-1] == freespace._RAY_END
-    assert abs(numeric) <= 1.0
+    numeric = dc.freespace_f00_numeric(p, np.array([3.3, t]))
+    assert len(calls) == 2
+    (a, b) = calls[-1].T
+    assert np.array_equal(a[1:], b[:-1])  # contiguous, in increasing u
+    assert a[0] == -freespace._RAY_END and b[-1] == x0
+    real = a >= 0.0
+    assert a[real][0] == 0.0
+    assert (t * (b - a)[real]).max() <= freespace._PANEL_PHASE * (1 + 1e-12)
+    assert np.all(abs(numeric) <= 1.0)
 
 
-def weighted_quad_f00(params, t):
-    """f_00 by QUADPACK's QAWF on [0, inf), cos and sin passes."""
-    w, g = params.omega_bar, params.g
-    f = lambda x: x * x / ((x * x - w * w) ** 2 + 4 * g * g * x * x)
-    pref = 4 * g / np.pi
-    re = quad(f, 0, np.inf, weight="cos", wvar=t)[0]
-    im = quad(f, 0, np.inf, weight="sin", wvar=t)[0]
-    return complex(pref * re, -pref * im)
+@pytest.mark.parametrize(
+    "g, t",
+    [(1.5, 900.0), (1.5, 925.0), (1.5, 950.0), (1.5, 975.0), (1.5, 1e3), (0.05, 1e3)],
+)
+def test_qawo_panels_and_one_numpy_integral_tile_the_path(monkeypatch, g, t):
+    """Past the QAWO phase the numpy intervals and the QAWO panels share the
+    real axis without overlap.  At g = 1.5 the one panel [0, 4] goes to
+    QAWO and the numpy integral is the ray alone; at g = 0.05 the two
+    panels 0.4 wide (400 rad) go to QAWO, and the numpy intervals fall in
+    two runs, the ray with [0, 0.2] and then [0.6, 1.4], in the one call."""
+    calls = quad_spy(monkeypatch)
+    panels = []
+    real_qawo = freespace._qawo
+
+    def qawo_spy(f, a, b, t, tol):
+        panels.append((a, b))
+        return real_qawo(f, a, b, t, tol)
+
+    monkeypatch.setattr(freespace, "_qawo", qawo_spy)
+    p = dc.make_params(1.0, g, delta=0.1)
+    tol = 1e-10
+    numeric = dc.freespace_f00_numeric(p, t, tol=tol)
+    (intervals,) = calls
+    real = intervals[intervals[:, 0] >= 0.0]
+    pieces = sorted([*map(tuple, real), *panels])
+    edges = np.array(pieces).ravel()
+    assert np.array_equal(edges[1:-1:2], edges[2::2])  # no gap, no overlap
+    assert edges[0] == 0.0 and edges[-1] == freespace._shoulders(p)[-1]
+    runs = 1 + np.count_nonzero(intervals[1:, 0] != intervals[:-1, 1])
+    assert (len(panels), runs) == ((1, 1) if g > 1.0 else (2, 2))
+    reference = CONTOUR_F00[g, t] if g > 1.0 else four_pole_f00(p, t)
+    assert abs(numeric - reference) <= tol
 
 
 @pytest.mark.parametrize("t", [1e-8, 1e-6])
@@ -514,13 +624,11 @@ def test_ray_resolves_its_decay_scale_at_large_times(t, g):
     whose first panel ignores that scale misses its whole value (1.6e-5
     against 1.3e-12 at g = 0.5, t = 1e4) and reports a tiny error."""
     p = dc.make_params(1.0, g, delta=0.1)
+    tol = 1e-10
     if g < 1.0:
-        tol = 1e-10
         reference = dc.freespace_f00_closed(p, t)
     else:
-        # QAWF is itself off by up to 5e-10 here
-        tol = 1e-8
-        reference = weighted_quad_f00(p, t)
+        reference = CONTOUR_F00[g, t]
     assert abs(dc.freespace_f00_numeric(p, t, tol=tol) - reference) <= tol
 
 
