@@ -431,7 +431,9 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
     def raw_orthogonality():
         return (
             matrix.raw_orthogonality_defect < 1e-3,
-            f"raw defect {matrix.raw_orthogonality_defect:.2e}",
+            f"raw defect {matrix.raw_orthogonality_defect:.2e}, "
+            f"{matrix.newton_schulz_steps} Newton-Schulz steps, "
+            f"final of order {matrix.final_step_order}",
         )
 
     check("matrix_column_norms", column_norms)

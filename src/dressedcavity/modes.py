@@ -13,14 +13,12 @@ orthogonalization, which is the minimal-change correction restoring the
 exact orthonormality the evolution stage relies on.  The Loewdin factor
 X (X^T X)^(-1/2) is the orthogonal polar factor of the rescaled matrix X;
 it is computed by the Newton-Schulz iteration X <- X (I - E/2) with
-E = X^T X - I, finished by one third-order step X <- X (I - E/2 + 3E^2/8).
-Both use matrix products only; from the small defects of an adequate
-truncation one step of each reaches roundoff, whatever the coupling and
-the mode spacing, so the cost depends on N alone.  The tests hold the
-result to the eigendecomposition form of the same factor within 1e-12
-per entry.  The build holds three (N+1)^2 arrays at its peak, at any
-step count (X is rebuilt in row blocks for the shift), and keeps the raw
-truncation defects on the result as diagnostics.
+E = X^T X - I, whose last step is X <- X (I - E/2 + 3E^2/8) unless the
+defect is already small: matrix products only, two steps for an adequate
+truncation.  The tests hold the result to the eigendecomposition form of
+the same factor within 1e-12 per entry.  The build holds three (N+1)^2
+arrays at its peak, at any step count (X is rebuilt in row blocks for the
+shift), and keeps the raw truncation defects on the result as diagnostics.
 
 The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 :func:`atom_row` gets it by Lanczos matrix-vector products on the same
@@ -41,8 +39,8 @@ S(x) - N = x sum_k 1/(omega_k^2 - x), which drops the constant N and
 with it its roundoff.  :func:`raw_defects` forms S, S' and then G a block
 of rows at a time: each block is O(N) memory, the whole pass O(N^2)
 time, against the (N+1)^2 arrays and O(N^3) products of the matrix
-route.  :func:`build_matrix` keeps forming X^T X by a matrix product, as
-the independent reference the tests hold the closed form to.
+route.  :func:`build_matrix` takes its first E from the same blocks, and
+every later one from a product, which the tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -91,6 +89,8 @@ class ModeMatrix:
     raw_column_norms: np.ndarray      # column norms before any correction
     raw_orthogonality_defect: float   # max |column dot| off the diagonal, raw
     orthogonalization_shift: float    # max |entry change| due to Loewdin step
+    newton_schulz_steps: int          # Loewdin steps taken, the final one included
+    final_step_order: int             # 2 or 3, the order of the final step
 
 
 def atom_element(params: SystemParams, omega_r):
@@ -220,45 +220,88 @@ def _max_abs(a: np.ndarray) -> float:
     return float(max(a.max(), -a.min()))
 
 
-def _polar_factor(
-    params: SystemParams, spectrum: Spectrum
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _closed_gram(params: SystemParams, spectrum: Spectrum):
+    """The atom row a, the raw column norms' squares G_rr and ``gram_rows``.
+
+    ``gram_rows(scale, out=None)`` yields ``(rows, diagonal, block)``: each
+    ``_GRAM_ROWS`` rows of scale_r scale_s G_rs / (a_r a_s) (module
+    docstring), into those rows of ``out`` if given, with the block's
+    ``diagonal`` set to 0.  Refuses what :func:`raw_defects` refuses.
+    """
+    _check_columns(params, spectrum)
+    _check_increasing(spectrum)
+    atom = atom_element(params, spectrum.omegas)
+    field_sq, roots_sq = params.field_frequencies() ** 2, spectrum.omegas**2
+    eta2 = params.eta**2
+
+    # S_r - N = x_r sum_k 1/(omega_k^2 - x_r) and S'_r, row block by row block
+    shifted = np.empty(roots_sq.size)
+    slope = np.empty(roots_sq.size)
+    for start in range(0, roots_sq.size, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        inverse = np.subtract.outer(roots_sq[rows], field_sq)
+        np.divide(1.0, inverse, out=inverse)  # 1/(x_r - omega_k^2)
+        shifted[rows] = -roots_sq[rows] * inverse.sum(axis=1)
+        inverse *= inverse
+        slope[rows] = inverse @ field_sq
+
+    def gram_rows(scale, out=None):
+        for start in range(0, roots_sq.size, _GRAM_ROWS):
+            rows = slice(start, start + _GRAM_ROWS)
+            into = None if out is None else out[rows]
+            block = np.subtract.outer(roots_sq[rows], roots_sq, out=into)
+            local = np.arange(block.shape[0])
+            diagonal = (local, local + start)
+            block[diagonal] = 1.0  # the numerator is 0 there
+            np.divide(np.subtract.outer(shifted[rows], shifted), block, out=block)
+            block *= eta2
+            block += 1.0
+            block *= scale[rows, None]
+            block *= scale
+            block[diagonal] = 0.0
+            yield rows, diagonal, block
+
+    return atom, atom**2 * (1.0 + eta2 * slope), gram_rows
+
+
+def _polar_factor(params: SystemParams, spectrum: Spectrum):
     """Orthogonal polar factor of the rescaled matrix X by Newton-Schulz
-    steps, with X's raw column norms and largest off-diagonal Gram entry.
+    steps, with X's raw column norms, largest off-diagonal Gram entry, step
+    count and final step's order.
 
     X is made here, not passed in (an argument stays alive until the call
     returns), so the first step x <- x P drops it: at any step count at
     most three (N+1)^2 arrays are held, x, E = x^T x - I (made P in place
-    by each step) and x P or E^2.  A second-order step, P = I - E/2, maps
-    every eigenvalue e of E to -(3/4) e^2 (1 - e/3).
-    The last step is of third order, P = I - E/2 + 3 E^2/8, which maps e
-    to (5/8) e^3 (1 - 3e/8 + 9e^2/40); it is taken once the bound
-    (5/8) e^3 (1 + 3e/8 + 9e^2/40) at e = ||E||_F falls below roundoff,
-    and needs no further Gram product.
-    It always follows at least one second-order step, so that every
-    ||E||_F up to 3e-3 takes the same two steps: the cost does not depend
-    on where the defect of an adequate truncation falls.
+    by each step) and x P or E^2.  The first E is the closed form
+    (:func:`_closed_gram`, O(N^2), diagonal 0 as the columns have unit
+    norm) and drives only the first step; every later E is the product
+    x^T x, so the final step sees the Gram of the matrix it returns.
+    A second-order step, P = I - E/2, maps every eigenvalue e of E to
+    -(3/4) e^2 (1 - e/3) and is final once (3/4) e^2 (1 + e/3) at
+    e = ||E||_F falls below roundoff; else the third-order P = I - E/2 +
+    3 E^2/8 is, once (5/8) e^3 (1 + 3e/8 + 9e^2/40) does.  So every
+    ||E_0||_F up to 3e-3 takes two steps: one Gram product and two step
+    products, and one more for E^2 when the defect is not small.
     """
+    atom, _, gram_rows = _closed_gram(params, spectrum)
     x, raw_norms = _rescaled_matrix(params, spectrum)
-    # the Gram matrix G becomes E = G - I in place, after its off-diagonal
-    # maximum is taken with the diagonal zeroed
-    defect = x.T @ x
-    gram_diagonal = defect.diagonal().copy()
-    np.fill_diagonal(defect, 0.0)
-    raw_offdiag = _max_abs(defect)
-    np.fill_diagonal(defect, gram_diagonal - 1.0)
+    defect = np.empty_like(x)
+    raw_offdiag = max(_max_abs(g) for _, _, g in gram_rows(atom / raw_norms, defect))
     stride = defect.shape[0] + 1  # flat stride of the diagonal
     previous = np.inf
     for step in range(_POLAR_MAX_STEPS):
         e = float(np.linalg.norm(defect))
-        if step and 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF:
-            square = defect.T @ defect  # E^2, as E is symmetric
-            square *= 0.375
+        second = 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF
+        third = 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF
+        if step and (second or third):
+            if not second:
+                square = defect.T @ defect  # E^2, as E is symmetric
+                square *= -0.75
+                defect += square
+                del square
             defect *= -0.5
-            defect += square
-            del square
             defect.flat[::stride] += 1.0
-            return x @ defect, raw_norms, raw_offdiag
+            return x @ defect, raw_norms, raw_offdiag, step + 1, 2 if second else 3
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
@@ -284,18 +327,18 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     exactly; the Loewdin step then removes the residual O(1/N) column
     overlaps so that the propagated amplitudes conserve probability to
     machine precision at any truncation.  The Loewdin factor comes from
-    the Newton-Schulz polar iteration, GEMM only, in two steps for an
-    adequate truncation, and agrees with its
-    eigendecomposition form to 1e-12 per entry.  Columns that are
-    (nearly) linearly dependent make the iteration stall or run past its
-    step cap, which raises :class:`NumericDomainError`.  Both raw defects
-    are recorded unchanged on the result, and the sign convention
-    (positive atom row) is preserved.  At most three (N+1)^2 arrays are
-    held (:func:`_polar_factor`); the shift max |T - X| rebuilds X in
-    one O(N^2) pass, ``_NORM_ROWS`` rows at a time, to the same bits.
+    the Newton-Schulz polar iteration, in two steps and three O(N^3)
+    products (four for a larger defect) after a closed-form first Gram for
+    an adequate truncation, and agrees with its eigendecomposition form to
+    1e-12 per entry.  Unordered roots, or columns that are (nearly)
+    linearly dependent, raise :class:`NumericDomainError`.  The raw
+    defects, step count and final order are recorded on the result, and
+    the positive atom row is kept.  At most three (N+1)^2 arrays are held
+    (:func:`_polar_factor`); the shift max |T - X| rebuilds X in one
+    O(N^2) pass, ``_NORM_ROWS`` rows at a time, to the same bits.
     """
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
-    entries, raw_norms, raw_offdiag = _polar_factor(params, spectrum)
+    entries, raw_norms, raw_offdiag, steps, order = _polar_factor(params, spectrum)
 
     # the shift max |T - X|, with X rebuilt a block of rows at a time
     omegas, omega_k = spectrum.omegas, params.field_frequencies()
@@ -320,6 +363,8 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
         raw_column_norms=raw_norms,
         raw_orthogonality_defect=raw_offdiag,
         orthogonalization_shift=shift,
+        newton_schulz_steps=steps,
+        final_step_order=order,
     )
 
 
@@ -413,23 +458,7 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
         raise ValidationError("times must hold at least one time")
     if not np.isfinite(times).all():
         raise ApproximationDomainError("t must be finite")
-    _check_columns(params, spectrum)
-    _check_increasing(spectrum)
-    atom = atom_element(params, spectrum.omegas)
-    field_sq, roots_sq = params.field_frequencies() ** 2, spectrum.omegas**2
-    eta2 = params.eta**2
-
-    # S_r - N = x_r sum_k 1/(omega_k^2 - x_r) and S'_r, row block by row block
-    shifted = np.empty(roots_sq.size)
-    slope = np.empty(roots_sq.size)
-    for start in range(0, roots_sq.size, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
-        inverse = np.subtract.outer(roots_sq[rows], field_sq)
-        np.divide(1.0, inverse, out=inverse)  # 1/(x_r - omega_k^2)
-        shifted[rows] = -roots_sq[rows] * inverse.sum(axis=1)
-        inverse *= inverse
-        slope[rows] = inverse @ field_sq
-    norm_sq = atom**2 * (1.0 + eta2 * slope)
+    atom, norm_sq, gram_rows = _closed_gram(params, spectrum)
     scale = atom / np.sqrt(norm_sq)
 
     phases = np.multiply.outer(spectrum.omegas, times)
@@ -437,18 +466,7 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     w *= scale[:, None]
     quadratic = np.zeros(w.shape[1])  # u^T G u and v^T G v of w = u - i v
     offdiag = 0.0
-    for start in range(0, roots_sq.size, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
-        gram = np.subtract.outer(roots_sq[rows], roots_sq)
-        local = np.arange(gram.shape[0])
-        diagonal = (local, local + start)
-        gram[diagonal] = 1.0  # the numerator is 0 there; set below
-        np.divide(np.subtract.outer(shifted[rows], shifted), gram, out=gram)
-        gram *= eta2
-        gram += 1.0
-        gram *= scale[rows, None]
-        gram *= scale
-        gram[diagonal] = 0.0
+    for rows, diagonal, gram in gram_rows(scale):
         offdiag = max(offdiag, _max_abs(gram))
         gram[diagonal] = 1.0
         quadratic += np.einsum("ij,ij->j", gram @ w, w[rows])

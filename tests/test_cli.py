@@ -483,6 +483,20 @@ def test_selftest_prints_the_quadrature_error_estimate():
     assert 0.0 < float(estimate.group(1)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "settings, detail",
+    [
+        ({}, "2 Newton-Schulz steps, final of order 2"),
+        ({"delta": 1000.0, "n_modes": 200}, "13 Newton-Schulz steps, final of order 3"),
+    ],
+)
+def test_selftest_prints_the_loewdin_path(settings, detail):
+    # the default N = 1000, delta = 0.1 takes the path with no E^2 product
+    results = cli.selftest_checks(cli.RunConfig(**settings))
+    (result,) = [r for r in results if r.name == "matrix_raw_orthogonality"]
+    assert result.detail.endswith(detail), result.detail
+
+
 def test_selftest_flags_injected_corruption(monkeypatch):
     config = cli.RunConfig(n_modes=120)
     params = config.make_params()

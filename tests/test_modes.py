@@ -155,8 +155,9 @@ def test_build_matrix_matches_eigh_loewdin(n, g, delta):
 @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0])
 def test_build_matrix_loewdin_steps_do_not_depend_on_delta(delta, monkeypatch):
     # ||X^T X - I||_F runs from 2e-7 to 3e-3 over these spacings at N=400;
-    # every one takes the same two steps, so the cost depends on N alone.
-    # Each step takes one Frobenius norm of the (N+1)^2 defect.
+    # every one takes the same two steps (the final step's order, and with
+    # it one E^2 product, follows the defect: see the test below).  Each
+    # step takes one Frobenius norm of the (N+1)^2 defect.
     n = 400
     p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
@@ -174,6 +175,30 @@ def test_build_matrix_loewdin_steps_do_not_depend_on_delta(delta, monkeypatch):
     assert len(steps) == 2 and steps[0] <= 3e-3
     gram = m.entries.T @ m.entries
     assert np.abs(gram - np.eye(n + 1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "delta, n, order",
+    # the second-order bound (3/4) e^2 (1 + e/3) at the second step reads
+    # 1.03 eps at delta = 0.1, N = 400, just too large, 0.026 eps at
+    # N = 1000, 0.020 eps at delta = 0.05, N = 400 and 3e3 eps or more at
+    # delta = 1
+    [(0.05, 400, 2), (0.1, 1000, 2), (1.0, 400, 3), (1.0, 1000, 3)],
+)
+def test_build_matrix_records_its_steps_and_final_order(delta, n, order):
+    # a small defect ends with the plain second-order step, no E^2 product
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
+    m = dc.build_matrix(p, dc.solve_spectrum(p))
+    assert (m.newton_schulz_steps, m.final_step_order) == (2, order)
+
+
+def test_build_matrix_final_step_sees_the_product_gram():
+    # the closed-form first E differs from x^T x - I by up to 1.8e-14 here;
+    # fed to a final step, it would leave that much in T^T T - I
+    n = 1000
+    p = dc.make_params(1.0, 0.5, delta=1e-3, n_modes=n)
+    m = dc.build_matrix(p, dc.solve_spectrum(p))
+    assert np.abs(m.entries.T @ m.entries - np.eye(n + 1)).max() <= 4e-15
 
 
 @pytest.mark.parametrize("n", [10, 20, 40, 80])
@@ -335,22 +360,23 @@ def test_atom_row_peak_memory_is_one_matrix():
 
 
 def dense_raw_defects(params, spectrum, times):
-    """The three raw defects from the assembled (N+1)^2 matrices:
-    build_matrix's raw norms and X^T X, and the row sums of the rescaled
-    raw matrix."""
-    matrix = dc.build_matrix(params, spectrum)
-    norms = matrix.raw_column_norms
-    rescaled = dc.assemble_raw_matrix(params, spectrum) / norms
+    """The three raw defects from the assembled (N+1)^2 matrices: the raw
+    column norms, the product X^T X of the rescaled raw matrix X, and the
+    row sums of X."""
+    raw = dc.assemble_raw_matrix(params, spectrum)
+    norms = np.linalg.norm(raw, axis=0)
+    rescaled = raw / norms
+    gram = rescaled.T @ rescaled
+    np.fill_diagonal(gram, 0.0)
     sums = dc.row_norms(rescaled, spectrum.omegas, 0, times)
     return (
         float(np.abs(1.0 - norms**2).max()),
-        matrix.raw_orthogonality_defect,
+        float(np.abs(gram).max()),
         float(np.abs(1.0 - sums).max()),
     )
 
 
-# (n, g, delta); at delta = 1000 the dense reference takes a dozen
-# Newton-Schulz steps, so that row stops at N = 300
+# (n, g, delta)
 RAW_DEFECT_CASES = [
     (n, g, delta)
     for g in (0.05, 0.5, 1.5)
@@ -369,6 +395,21 @@ def test_raw_defects_match_the_dense_matrix(n, g, delta):
     assert abs(got.column_norm - expected[0]) <= 1e-13
     assert abs(got.orthogonality - expected[1]) <= 1e-13
     assert abs(got.unitarity - expected[2]) <= 1e-13
+
+
+@pytest.mark.parametrize("n, g, delta", RAW_DEFECT_CASES + [(3000, 0.5, 1e-3)])
+def test_closed_form_gram_matches_the_product(n, g, delta):
+    # the first Newton-Schulz defect E_0 of build_matrix, against
+    # x^T x - I; the worst case, 6.3e-14, is the last (root rounding)
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    atom, _, gram_rows = dc.modes._closed_gram(p, spec)
+    x, norms = dc.modes._rescaled_matrix(p, spec)
+    closed = np.empty_like(x)
+    for _ in gram_rows(atom / norms, closed):
+        pass
+    product = x.T @ x - np.eye(n + 1)
+    assert np.abs(closed - product).max() <= 1e-13
 
 
 def test_raw_defects_peak_memory_is_a_quarter_matrix():
