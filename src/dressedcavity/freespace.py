@@ -22,10 +22,10 @@ replaces the oscillating tail at every t >= 0; the cut at V leaves out
 about e^-V / x0.  Panels and ray together are one call of :func:`quad`,
 a globally adaptive 15-point Gauss-Kronrod rule in numpy (QUADPACK's
 QK15, Piessens et al., QUADPACK, 1983) with one error budget over all
-of their intervals.  The one exception is a real panel spanning more
-than Phi = ``_QAWO_PHASE`` radians of t x: its cost would grow with t, so
-it goes to QUADPACK's QAWO, whose Chebyshev moments do not, and the
-numpy intervals on either side of it stay in the one call.
+of their intervals.  The pieces grow with t x0, so past about 1e4 rad
+the cost of a time grows linearly in t; a grid whose latest t x0
+exceeds ``_MAX_PHASE`` = 1e6 rad, where one time peaks at about 320 MB
+resident, is refused before anything is integrated.
 
 Closed form, weak coupling (g < w, kappa = sqrt(w^2 - g^2)).  The
 denominator has the roots r = +-kappa +- ig, and partial fractions give
@@ -45,15 +45,12 @@ in which the fourth-quadrant residue has cancelled against the branch
 jump of E_1.  F is real on the positive real axis, so the factor g/kappa,
 large near g = w, multiplies only Im F, which is of order kappa.
 
-scipy loads at first use, not at import: ``scipy.special`` on the first
-closed-form evaluation and ``scipy.integrate`` on the first panel past
-Phi, which no t x0 <= Phi reaches.  The cavity side (spectrum, mode
-matrix, survival, entropy) and the quadrature below Phi need numpy alone;
-importing ``scipy.integrate`` takes about 0.4 s and 52 MB of resident
-memory over numpy alone, 26 MB more than ``scipy.special``.  ``quad``
-is a public name bound in this module, and every numpy integral calls it
-through that name, so a caller that replaces ``freespace.quad`` (a test
-spy, the benchmark's tracer) sees every one of them.
+scipy loads at first use, not at import, and only ``scipy.special``, on
+the first closed-form evaluation.  The cavity side (spectrum, mode
+matrix, survival, entropy) and the quadrature need numpy alone.
+``quad`` is a public name bound in this module, and every integral
+calls it through that name, so a caller that replaces ``freespace.quad``
+(a test spy, the benchmark's tracer) sees every one of them.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -111,13 +107,9 @@ _MAX_BISECTIONS = 2000  # subdivision cap of one adaptive integral
 # bisection a shoulder panel needs at small t
 _PANEL_PHASE = 3.0
 _PANEL_PIECES = 4
-# Phi: a real panel spanning more than this many radians of t x goes to
-# QUADPACK's QAWO, whose cost does not grow with t.  The two cost the same
-# at about 110-140 rad on a smooth panel, 250-530 rad on one holding the
-# resonance and 1100-2000 rad on [0, 7] at g = 3 (numpy 0.1-0.3 us/rad
-# against QAWO's 20-230 us per panel, 2-vCPU Xeon); 300 sits in that range
-# and keeps t <= 40 at x0 <= 7 on numpy
-_QAWO_PHASE = 300.0
+# Phi: the largest t x0 a grid may reach; one time at Phi takes about 1 s
+# and 320 MB peak RSS (2-vCPU Xeon)
+_MAX_PHASE = 1e6
 _RAY_END = 40.0  # V: the ray stops at v = V, leaving about e^-V / x0 out
 # the ray's edges in v: on the scale of x0, where the weight falls like
 # e^-v, and where the decay t x0 (e^v - 1) passes each of these values
@@ -234,20 +226,6 @@ def _shoulders(params: SystemParams) -> tuple[float, ...]:
     return tuple(sorted(p for p in points if p > 0.0))
 
 
-def _qawo(f, a: float, b: float, t: float, tol: float) -> tuple[complex, float]:
-    """int_a^b f(x) e^{-ixt} dx by QUADPACK's QAWO, a cos and a sin pass."""
-    from scipy.integrate import IntegrationWarning
-    from scipy.integrate import quad as quadpack
-
-    opts = dict(wvar=t, epsabs=tol, epsrel=1e-12, limit=200)
-    # the caller's error budget replaces QUADPACK's warning policy
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quadpack(f, a, b, weight="cos", **opts)
-        im, im_err = quadpack(f, a, b, weight="sin", **opts)
-    return complex(re, -im), re_err + im_err
-
-
 def _fourier_semi_infinite(
     f, shoulders: tuple[float, ...], t: float, tol: float
 ) -> tuple[complex, float]:
@@ -266,35 +244,31 @@ def _fourier_semi_infinite(
     misses 4.6e-6 of f_00 and its error estimate stays below tol).
 
     Each real panel is pre-split to at most ``_PANEL_PHASE`` radians of
-    t x; one that spans more than ``_QAWO_PHASE`` goes to QAWO instead.
-    Every other piece, ray and real, goes to one call of :func:`quad` on
-    one coordinate u: the ray at v = -u for u in [-V, 0], which keeps v
-    exact next to x0, and the real axis at x = u for u in [0, x0].  Each
+    t x, so past about 1e4 rad of t x0 the cost grows linearly in t.  All
+    pieces, ray and real, go to one call of :func:`quad` on one
+    coordinate u: the ray at v = -u for u in [-V, 0], which keeps v exact
+    next to x0, and the real axis at x = u for u in [0, x0].  Each
     branch of the integrand is evaluated on its own points only, so the
-    ray's exp(-t x0 (e^v - 1)) never sees v < 0.  Returns (value,
-    achieved error), the sum of the pieces' estimates, and raises
-    QuadratureError when it exceeds ``tol``, whose numpy share
-    :func:`_numeric_with_error` has checked against the roundoff floor.
-    At t = 0 the imaginary part, int f sin(0 x) dx, is exactly 0.
+    ray's exp(-t x0 (e^v - 1)) never sees v < 0.  The integral gets half
+    of ``tol``, which :func:`_numeric_with_error` has checked against
+    the roundoff floor, and the cut at V is added to its estimate.
+    Returns (value, achieved error) and raises QuadratureError when the
+    achieved error exceeds ``tol``.  At t = 0 the imaginary part,
+    int f sin(0 x) dx, is exactly 0.
     """
     x0 = shoulders[-1]
     scale = x0 * t
     reach = scale * math.expm1(_RAY_END)  # the decay t x0 (e^v - 1) at v = V
     decay = [math.log1p(s / scale) for s in _RAY_DECAY if s < reach]
     ray_edges = sorted({0.0, *_RAY_STEPS, *decay, _RAY_END}, reverse=True)
-    runs, qawo = [[-v for v in ray_edges]], []
+    edges = [-v for v in ray_edges]
     for a, b in zip((0.0, *shoulders), shoulders):
-        phase = t * (b - a)
-        if phase > _QAWO_PHASE:
-            qawo.append((a, b))
-            runs.append([b])
-            continue
-        steps = max(_PANEL_PIECES, math.ceil(phase / _PANEL_PHASE))
+        steps = max(_PANEL_PIECES, math.ceil(t * (b - a) / _PANEL_PHASE))
         width = (b - a) / steps
-        runs[-1].extend([a + k * width for k in range(1, steps)])
-        runs[-1].append(b)
-    edges = [np.array(run) for run in runs]
-    intervals = np.concatenate([(e[:-1], e[1:]) for e in edges], axis=1).T
+        edges.extend([a + k * width for k in range(1, steps)])
+        edges.append(b)
+    edges = np.array(edges)
+    intervals = np.stack((edges[:-1], edges[1:]), axis=1)
 
     # e^{-ixt} = e^{-i x0 t} e^{-x0 t (e^v - 1)} and dx = -i x0 e^v dv
     factor = -1j * x0 * cmath.exp(-1j * x0 * t)
@@ -310,13 +284,8 @@ def _fourier_semi_infinite(
         out[on_ray] = weight * (np.exp(-scale * e) * (1.0 + e)) * factor
         return out
 
-    # the numpy integral and each QAWO pass may use an equal share of half
-    # the budget
-    share = tol / (2 * (1 + 2 * len(qawo)))
-    parts = [quad(h, intervals, share)]
-    parts.extend(_qawo(f, a, b, t, share) for a, b in qawo)
-    total = sum(v for v, _ in parts)
-    achieved = sum(e for _, e in parts) + math.exp(-_RAY_END) / x0
+    total, achieved = quad(h, intervals, tol / 2)
+    achieved += math.exp(-_RAY_END) / x0
     if achieved > tol:
         raise QuadratureError("quadrature did not reach its tolerance", achieved)
     return (complex(total.real) if t == 0.0 else total), achieved
@@ -344,13 +313,17 @@ def freespace_f00_numeric(params: SystemParams, t, tol: float = DEFAULT_TOL):
 
     (4g/pi) times the complex transform int_0^inf f(x) e^{-ixt} dx of the
     spectral weight, to absolute accuracy ``tol``.  ``t`` is a scalar
-    (returns a complex) or a grid (returns an array).  Raises
-    :class:`QuadratureError`, before integrating and even on an empty
-    grid, unless tol is finite and the numpy integral's share of it,
-    tol / (2 (1 + 2q)) at the time with the most QAWO panels q, is at
-    least 50 eps: QUADPACK's roundoff floor on the integral of the
-    weight, which in units of f_00 is the same at every g.  With no QAWO
-    panel that is tol >= 100 eps, about 2.2e-14.
+    (returns a complex) or a grid (returns an array).  Raises, before
+    integrating and even on an empty grid, :class:`QuadratureError`
+    unless tol is finite and its half, the integral's share, is at least
+    50 eps: QUADPACK's roundoff floor on the integral of the weight,
+    which in units of f_00 is the same at every g and t, so any
+    tol < 100 eps, about 2.2e-14, is refused.  Raises
+    :class:`ApproximationDomainError` for a grid whose latest t x0 passes
+    Phi = 1e6 rad, x0 the last shoulder point.  The amplitude left there,
+    once the pole terms have decayed, is the t^-3 tail
+    8g / (pi w^4 t^3) <= 8g x0^3 / (pi w^4 Phi^3): at w = 1 and g <= 3
+    (x0 <= 7) at most 2.6e-15, below that floor.
     """
     values, _ = _numeric_with_error(params, t, tol)
     return complex(values[0]) if np.ndim(t) == 0 else values
@@ -363,15 +336,15 @@ def _numeric_with_error(
     times = _checked_times(t)
     f = _spectral_weight(params)
     shoulders = _shoulders(params)
-    # the latest time has the most QAWO panels, q, and so the smallest
-    # numpy share, tol / (2 (1 + 2q))
-    latest = float(times.max(initial=0.0))
-    panels = zip((0.0, *shoulders), shoulders)
-    q = sum(latest * (b - a) > _QAWO_PHASE for a, b in panels)
-    if not _ROUNDOFF <= tol / (2 * (1 + 2 * q)) < np.inf:  # NaN fails both
+    if not _ROUNDOFF <= tol / 2 < np.inf:  # NaN fails both
         raise QuadratureError(
-            f"tolerance must be finite and leave the numpy integral at least "
+            f"tolerance must be finite and leave the integral at least "
             f"{_ROUNDOFF:.3g} of f_00, its roundoff floor"
+        )
+    if times.max(initial=0.0) * shoulders[-1] > _MAX_PHASE:
+        raise ApproximationDomainError(
+            f"quadrature needs t x0 <= {_MAX_PHASE:.0e} rad (x0 = "
+            f"{shoulders[-1]:g}); at weak coupling use freespace_f00_closed"
         )
     pref = 4.0 * params.g / np.pi
     values = np.empty(times.shape, dtype=complex)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dressedcavity as dc
-from dressedcavity import cli
+from dressedcavity import cli, freespace
 from dressedcavity.errors import ConfigurationError, ValidationError
 from dressedcavity.output import write_csv
 
@@ -649,6 +649,22 @@ def test_non_finite_settings_exit_3_without_output(tmp_path, argv):
     assert not out.exists()
 
 
+def test_free_space_numeric_past_the_phase_cap_exits_3_without_output(
+    monkeypatch, tmp_path
+):
+    """t x0 just past 1e6 rad at g = 1.5 (x0 = 4): refused before any time
+    of the grid is integrated."""
+    calls = []
+    monkeypatch.setattr(freespace, "quad", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    argv = [
+        "evolve", "--mode", "free_space_numeric", "--g", "1.5",
+        "--t-max", "250000.001", "--t-steps", "3", "--out", str(out),
+    ]
+    assert cli.main(argv) == 3
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -712,22 +728,29 @@ for argv in (
         (
             "import dressedcavity as dc\n"
             "dc.freespace_f00_numeric(dc.make_params(1.0, 0.5, delta=0.1), 1e4)",
-            {_INTEGRATE},
             set(),
+            {_INTEGRATE, _SPECIAL},
+        ),
+        (
+            "from dressedcavity import cli\n"
+            "assert cli.main(['figure1', '--g', '1.5']) == 0",
+            set(),
+            {_INTEGRATE, _SPECIAL},
         ),
     ],
     ids=[
         "cavity_commands",
         "figure1",
         "freespace_f00_numeric",
-        "freespace_f00_numeric_qawo",
+        "freespace_f00_numeric_t1e4",
+        "figure1_strong",
     ],
 )
 def test_scipy_loads_only_where_free_space_is_computed(tmp_path, code, loaded, not_loaded):
     """Start-up contract, in a fresh interpreter: the cavity side needs numpy
-    alone, the closed form loads scipy.special, and quadrature loads
-    scipy.integrate only for a real panel past the QAWO phase (at t = 1e4
-    the panel [0, 2] spans 2e4 rad)."""
+    alone, the closed form loads scipy.special, and the quadrature, which
+    is the free space of figure1 at strong coupling, needs numpy alone at
+    every t (at t = 1e4 the panel [0, 2] spans 2e4 rad)."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(dc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

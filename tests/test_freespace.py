@@ -197,37 +197,37 @@ def quad_spy(monkeypatch):
 
 
 def test_tolerance_below_quadrature_floor_refused(monkeypatch):
-    """The numpy integral of a time gets tol / (2 (1 + 2q)), q the time's
-    QAWO panels, and its roundoff floor is 50 eps of f_00 at every g.  At
-    g = 10, where [0, 21] is one panel, tol = 5e-14 leaves t = 2 (q = 0)
-    2.5e-14 but t = 445.9 (q = 1) 8.3e-15: a grid holding 445.9 is refused
-    before its earlier times integrate."""
+    """The integral of every time gets tol / 2, and its roundoff floor is
+    50 eps of f_00 at every g.  At g = 10, where [0, 21] is one panel,
+    tol = 5e-14 is admitted at t = 445.9 (9364 rad of t x) and met there,
+    while 1e-14 is refused at every t, and on an empty grid, before any
+    time integrates."""
     calls = quad_spy(monkeypatch)
     p = dc.make_params(1.0, 10.0, delta=0.1)
-    for t in (445.9, np.array([0.0, 2.0, 445.9])):
-        with pytest.raises(QuadratureError, match="no integration ran"):
-            dc.freespace_f00_numeric(p, t, tol=5e-14)
-        with pytest.raises(QuadratureError, match="no integration ran"):
-            dc.g_integral(p, t, tol=5e-14)
-    for t in (0.0, 2.0, np.array([])):
+    for t in (0.0, 2.0, 445.9, np.array([0.0, 2.0, 445.9]), np.array([])):
         with pytest.raises(QuadratureError, match="no integration ran"):
             dc.freespace_f00_numeric(p, t, tol=1e-14)
+        with pytest.raises(QuadratureError, match="no integration ran"):
+            dc.g_integral(p, t, tol=1e-14)
     assert calls == []
+    values, achieved = freespace._numeric_with_error(p, np.array([2.0, 445.9]), 5e-14)
+    assert len(calls) == 2 and np.all(achieved <= 5e-14)
+    assert np.all(np.isfinite(values))
     # the tolerance the old floor, tol pi / (4g) >= 1e-13, refused here
     assert np.isfinite(dc.freespace_f00_numeric(p, 2.0, tol=1e-12))
     assert np.isfinite(dc.freespace_f00_numeric(p, 445.9, tol=1e-12))
 
 
 @pytest.mark.parametrize("g", [0.01, 0.5, 10.0])
-def test_tolerance_floor_is_100_eps_of_f00_below_the_qawo_phase(monkeypatch, g):
-    """With no QAWO panel the numpy share is tol / 2, so the floor sits at
-    tol = 100 eps at every g.  At g = 0.01 the old rule admitted 1e-14
-    (tol pi / (4g) = 7.9e-13) and failed only after integrating."""
+def test_tolerance_floor_is_100_eps_of_f00_at_every_t(monkeypatch, g):
+    """The integral's share is tol / 2 at every t, so the floor sits at
+    tol = 100 eps at every g and t.  At g = 0.01 the old rule admitted
+    1e-14 (tol pi / (4g) = 7.9e-13) and failed only after integrating."""
     calls = quad_spy(monkeypatch)
     p = dc.make_params(1.0, g, delta=0.1)
     eps = np.finfo(float).eps
     for tol in (1e-14, 100 * eps * (1 - 1e-12)):
-        for t in (0.0, 2.0, np.array([0.0, 3.3])):
+        for t in (0.0, 2.0, 1e4, np.array([0.0, 3.3, 1e4])):
             with pytest.raises(QuadratureError, match="no integration ran"):
                 dc.freespace_f00_numeric(p, t, tol=tol)
     assert calls == []
@@ -546,64 +546,34 @@ def test_quad_raises_at_its_subdivision_cap():
     assert excinfo.value.achieved > 1e-12
 
 
-@pytest.mark.parametrize("g", [0.05, 0.5, 3.0])
-def test_time_below_the_qawo_phase_makes_one_numpy_integral(monkeypatch, g):
+@pytest.mark.parametrize(
+    "g, t",
+    [
+        (0.05, 40.0), (0.5, 40.0), (3.0, 40.0),
+        (1.5, 900.0), (1.5, 925.0), (1.5, 950.0), (1.5, 975.0),
+        (1.5, 1e3), (0.05, 1e3), (3.0, 1e4),
+    ],
+)
+def test_one_numpy_integral_tiles_the_path_at_every_t(monkeypatch, g, t):
     """One quad call per time, on one coordinate u: the ray at v = -u from
     V down to 0, then the real panels from 0 to the last shoulder x0 at
-    most _PANEL_PHASE rad each.  t x0 <= 280 rad for t <= 40 and x0 <= 7,
-    so QAWO is never called there."""
+    most _PANEL_PHASE rad each, contiguous, at t x0 from 72 to 7e4 rad."""
     calls = quad_spy(monkeypatch)
-
-    def no_qawo(*args):
-        raise AssertionError("QAWO called below its phase")
-
-    monkeypatch.setattr(freespace, "_qawo", no_qawo)
     p = dc.make_params(1.0, g, delta=0.1)
     x0 = freespace._shoulders(p)[-1]
-    t = 40.0
-    assert t * x0 <= 280.0 < freespace._QAWO_PHASE
-    numeric = dc.freespace_f00_numeric(p, np.array([3.3, t]))
-    assert len(calls) == 2
-    (a, b) = calls[-1].T
+    tol = 1e-10
+    numeric = dc.freespace_f00_numeric(p, t, tol=tol)
+    (intervals,) = calls
+    a, b = intervals.T
     assert np.array_equal(a[1:], b[:-1])  # contiguous, in increasing u
     assert a[0] == -freespace._RAY_END and b[-1] == x0
     real = a >= 0.0
     assert a[real][0] == 0.0
     assert (t * (b - a)[real]).max() <= freespace._PANEL_PHASE * (1 + 1e-12)
-    assert np.all(abs(numeric) <= 1.0)
-
-
-@pytest.mark.parametrize(
-    "g, t",
-    [(1.5, 900.0), (1.5, 925.0), (1.5, 950.0), (1.5, 975.0), (1.5, 1e3), (0.05, 1e3)],
-)
-def test_qawo_panels_and_one_numpy_integral_tile_the_path(monkeypatch, g, t):
-    """Past the QAWO phase the numpy intervals and the QAWO panels share the
-    real axis without overlap.  At g = 1.5 the one panel [0, 4] goes to
-    QAWO and the numpy integral is the ray alone; at g = 0.05 the two
-    panels 0.4 wide (400 rad) go to QAWO, and the numpy intervals fall in
-    two runs, the ray with [0, 0.2] and then [0.6, 1.4], in the one call."""
-    calls = quad_spy(monkeypatch)
-    panels = []
-    real_qawo = freespace._qawo
-
-    def qawo_spy(f, a, b, t, tol):
-        panels.append((a, b))
-        return real_qawo(f, a, b, t, tol)
-
-    monkeypatch.setattr(freespace, "_qawo", qawo_spy)
-    p = dc.make_params(1.0, g, delta=0.1)
-    tol = 1e-10
-    numeric = dc.freespace_f00_numeric(p, t, tol=tol)
-    (intervals,) = calls
-    real = intervals[intervals[:, 0] >= 0.0]
-    pieces = sorted([*map(tuple, real), *panels])
-    edges = np.array(pieces).ravel()
-    assert np.array_equal(edges[1:-1:2], edges[2::2])  # no gap, no overlap
-    assert edges[0] == 0.0 and edges[-1] == freespace._shoulders(p)[-1]
-    runs = 1 + np.count_nonzero(intervals[1:, 0] != intervals[:-1, 1])
-    assert (len(panels), runs) == ((1, 1) if g > 1.0 else (2, 2))
-    reference = CONTOUR_F00[g, t] if g > 1.0 else four_pole_f00(p, t)
+    if g < 1.0:
+        reference = four_pole_f00(p, t)
+    else:
+        reference = CONTOUR_F00[g, t] if (g, t) in CONTOUR_F00 else contour_f00(p, t)
     assert abs(numeric - reference) <= tol
 
 
@@ -653,3 +623,29 @@ def test_ray_cut_is_counted_in_the_achieved_error(monkeypatch, weak):
     x0 = freespace._shoulders(weak)[-1]
     cut = 4.0 * weak.g / np.pi * math.exp(-freespace._RAY_END) / x0
     assert achieved == pytest.approx([cut, cut], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.5, 3.0])
+def test_time_past_the_phase_cap_refused_before_integrating(monkeypatch, g):
+    """A grid whose latest t x0 passes _MAX_PHASE is refused whole, before
+    its earlier times integrate; a time just short of the cap is admitted
+    (here a stub stands in for quad, so nothing is integrated)."""
+    calls = []
+
+    def stub(h, intervals, tol):
+        calls.append(len(intervals))
+        return 0j, 0.0
+
+    monkeypatch.setattr(freespace, "quad", stub)
+    p = dc.make_params(1.0, g, delta=0.1)
+    x0 = freespace._shoulders(p)[-1]
+    cap = freespace._MAX_PHASE / x0
+    past = cap * (1 + 1e-9)
+    for t in (past, np.array([0.0, 1.0, past])):
+        with pytest.raises(ApproximationDomainError, match="freespace_f00_closed"):
+            dc.freespace_f00_numeric(p, t)
+    assert calls == []
+    dc.freespace_f00_numeric(p, cap * (1 - 1e-9))
+    # the real pieces there: at most _PANEL_PHASE rad each
+    assert len(calls) == 1
+    assert calls[0] >= freespace._MAX_PHASE * (1 - 1e-9) / freespace._PANEL_PHASE
