@@ -37,7 +37,8 @@ for row 0 of a matrix).  The first-order series
 The row also fixes the two-atom entropy.  Its time dependence enters
 through s(t) = sum_nu |f_0_nu(t)|^2 = sum_s T[0, s]^2 |exp(-i Omega_s t)|^2
 when T^T T = I, so for the orthogonal repaired matrix s(t) is the constant
-sum_s T[0, s]^2 in exact arithmetic.  ``cli evolve`` takes that constant;
+sum_s T[0, s]^2 = 1 in exact arithmetic, and the entropy is
+``bipartite.analytic_entropy(xi)``: ``cli evolve`` takes that constant.
 :func:`row_norms` keeps the time-resolved sum over every nu as the dense
 check of the identity (``cli selftest``, ``unitarity_defect``).
 

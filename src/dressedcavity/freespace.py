@@ -446,7 +446,7 @@ def freespace_f00_closed(params: SystemParams, t):
     """
     if params.regime != REGIME_WEAK:
         raise RegimeError(
-            "closed form needs g < omega_bar; use freespace_f00_numeric"
+            "no closed form for g >= omega_bar; use freespace_f00_numeric"
         )
     times = _checked_times(t)
     kappa = params.kappa
@@ -467,7 +467,7 @@ def freespace_survival_asymptotic(params: SystemParams, t):
     at t = 0, and at any t > 0 where the t^(-6) term is not a finite float.
     """
     if params.regime != REGIME_WEAK:
-        raise RegimeError("asymptotic form needs g < omega_bar")
+        raise RegimeError("no asymptotic form for g >= omega_bar")
     times = _checked_times(t, positive=True)
     w = params.omega_bar
     g = params.g

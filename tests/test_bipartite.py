@@ -84,7 +84,7 @@ def test_reduced_density_properties(f_aa, f_bb, xi, phi):
     assert np.abs(m - m.conj().T).max() < 1e-12
     assert np.real(np.trace(m)) == pytest.approx(1.0, abs=1e-12)
     eig = np.sort(rho.eigenvalues())
-    assert eig[0] >= -1e-10
+    assert eig[0] >= -1e-12
     expected = np.sort([0.0, 0.0, rho.p, 1.0 - rho.p])
     assert np.abs(eig - expected).max() < 1e-10
     d = dc.impurity(f_aa, f_bb, cfg)

@@ -195,6 +195,7 @@ def test_cmd_evolve_exact(tmp_path):
     assert np.all(rows[:, 4] >= 0) and np.all(rows[:, 4] <= 0.5 + 1e-9)
     assert np.all(rows[:, 5] >= 0) and np.all(rows[:, 5] <= LN2 + 1e-12)
     assert np.all(np.abs(rows[:, 5] - LN2) < 1e-6)
+    assert np.all(rows[:, 5] == dc.analytic_entropy(0.5))
     # the complex parts square to the reported survival
     assert rows[:, 1] ** 2 + rows[:, 2] ** 2 == pytest.approx(rows[:, 3], abs=1e-12)
 
@@ -261,6 +262,7 @@ def test_cmd_evolve_other_modes(tmp_path, mode):
     _, rows = read_csv(tmp_path / "evolve.csv")
     assert rows[0, 3] == pytest.approx(1.0, abs=2e-3)
     assert np.all(rows[:, 3] <= 1 + 1e-9)
+    assert np.all(rows[:, 5] == dc.analytic_entropy(0.5))
 
 
 def test_cmd_evolve_series_truncates_at_n_modes(tmp_path):
