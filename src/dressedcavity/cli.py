@@ -428,9 +428,10 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
         return worst < 1e-12, f"max |1 - norm| {worst:.2e}"
 
     def raw_orthogonality():
+        first = "in closed form" if matrix.first_iterate_closed_form else "by product"
         return (
             matrix.raw_orthogonality_defect < 1e-3,
-            f"raw defect {matrix.raw_orthogonality_defect:.2e}, "
+            f"raw defect {matrix.raw_orthogonality_defect:.2e}, first iterate {first}, "
             f"{matrix.newton_schulz_steps} Newton-Schulz steps, "
             f"final of order {matrix.final_step_order}",
         )

@@ -14,11 +14,15 @@ exact orthonormality the evolution stage relies on.  The Loewdin factor
 X (X^T X)^(-1/2) is the orthogonal polar factor of the rescaled matrix X;
 it is computed by the Newton-Schulz iteration X <- X (I - E/2) with
 E = X^T X - I, whose last step is X <- X (I - E/2 + 3E^2/8) unless the
-defect is already small: matrix products only, two steps for an adequate
-truncation.  The tests hold the result to the eigendecomposition form of
-the same factor within 1e-12 per entry.  The build holds three (N+1)^2
-arrays at its peak, at any step count (X is rebuilt in row blocks for the
-shift), and keeps the raw truncation defects on the result as diagnostics.
+defect is already small: two steps for an adequate truncation, whose first
+iterate has a closed form (below), so the rest is one Gram product and one
+step product, or two step products for the third-order final step.  The
+tests hold the result to the eigendecomposition form of the same factor
+within 1e-12 per entry.  The build holds two (N+1)^2 arrays and one block
+of rows at its peak, at any step count (every step product is written
+over the iterate a row block at a time, and X is rebuilt in row blocks for
+the shift), and keeps the raw truncation defects on the result as
+diagnostics.
 
 The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 :func:`atom_row` gets it by Lanczos matrix-vector products on the same
@@ -41,6 +45,27 @@ of rows at a time: each block is O(N) memory, the whole pass O(N^2)
 time, against the (N+1)^2 arrays and O(N^3) products of the matrix
 route.  :func:`build_matrix` takes its first E from the same blocks, and
 every later one from a product, which the tests hold the closed form to.
+
+The first Newton-Schulz iterate X_1 = X (I - E_0/2) is Cauchy-like too.
+With u = X[0, :], w = u^2, y_k = omega_k^2, and field entries
+X[k, r] = eta omega_k u_r/(y_k - x_r), the sum over s of
+X[k, s] (E_0)_sr splits by
+
+    1/((y - x_s)(x_s - x)) = [1/(y - x_s) + 1/(x_s - x)]/(y - x)
+
+into O(N) sums: bracket_r = sum_{s != r} w_s G_rs/(a_r a_s), which is
+(E_0 u)_r/u_r, A_k = sum_s w_s/(y_k - x_s) and B_k = sum_s w_s S_s/(y_k - x_s),
+with S = S(x) - N.  Then
+
+    X_1[0, r] = u_r (1 - bracket_r/2)
+    X_1[k, r] = X[k, r] [1 - (bracket_r - sum w)/2 - (eta^2/2)(B_k - S_r A_k)]
+                - eta omega_k u_r A_k/2,
+
+and eta omega_k A_k, eta omega_k B_k are the products of X's field rows
+with u and u S.  This costs O(N^2) against the O(N^3) product X (I - E_0/2).
+Its roundoff grows like eps max_r |bracket_r|, which stays below 0.02 on
+adequate truncations but reaches 1e6 at weak coupling with a mode cutoff
+below omega_bar; past ``_BRACKET_MAX`` the product is taken instead.
 """
 
 from __future__ import annotations
@@ -76,6 +101,14 @@ _NORM_ROWS = 32
 #: rows per block of the closed-form Gram matrix in :func:`raw_defects`
 _GRAM_ROWS = 32
 
+#: rows per block of the Newton-Schulz step products, written over the iterate
+_PRODUCT_ROWS = 512
+
+#: largest max_r |bracket_r| at which the first iterate is taken in closed
+#: form (:func:`_first_iterate`): its roundoff grows like eps times that
+#: bracket, and the tests hold it within 4e-15 of the product up to here
+_BRACKET_MAX = 4.0
+
 #: successive Lanczos estimates of the atom row that agree to this many
 #: ulps of its largest entry end the iteration
 _LANCZOS_ULPS = 4
@@ -91,6 +124,7 @@ class ModeMatrix:
     orthogonalization_shift: float    # max |entry change| due to Loewdin step
     newton_schulz_steps: int          # Loewdin steps taken, the final one included
     final_step_order: int             # 2 or 3, the order of the final step
+    first_iterate_closed_form: bool   # X (I - E_0/2) entrywise, not a product
 
 
 def atom_element(params: SystemParams, omega_r):
@@ -261,58 +295,131 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
             block[diagonal] = 0.0
             yield rows, diagonal, block
 
-    return atom, atom**2 * (1.0 + eta2 * slope), gram_rows
+    return atom, atom**2 * (1.0 + eta2 * slope), shifted, gram_rows
+
+
+def _first_defect(gram_rows, u, out):
+    """E_0 of the rescaled X into ``out``, with max |E_0|, ||E_0||_F and the
+    bracket of :func:`_first_iterate`, (E_0 u)_r / u_r, from its blocks."""
+    largest, squares, bracket = 0.0, 0.0, np.empty(u.size)
+    for rows, _, block in gram_rows(u, out):
+        largest = max(largest, _max_abs(block))
+        squares += float(np.vdot(block, block))
+        np.matmul(block, u, out=bracket[rows])
+    bracket /= u
+    return largest, np.sqrt(squares), bracket
+
+
+def _first_iterate(params: SystemParams, x: np.ndarray, shifted, bracket) -> None:
+    """x <- X_1 = X (I - E_0/2) in place for the rescaled X in ``x``.
+
+    With u = X[0, :], S the ``shifted`` sums of :func:`_closed_gram`,
+    alpha = X[1:] u and beta = X[1:] (u S) (one product, N x 2),
+    X_1[0, r] = u_r (1 - bracket_r/2) and
+    X_1[k, r] = X[k, r] [1 - (bracket_r - u.u)/2 - (eta/(2 omega_k))
+    (beta_k - S_r alpha_k)] - u_r alpha_k/2 (module docstring): O(N^2) time,
+    ``_GRAM_ROWS`` rows at a time.
+    """
+    u = x[0].copy()
+    field = x[1:]
+    alpha, beta = (field @ np.stack([u, u * shifted], axis=1)).T
+    ratio = 0.5 * params.eta / params.field_frequencies()  # (eta^2/2)/(eta omega_k)
+    constant = 1.0 - 0.5 * (bracket - u @ u)
+    x[0] *= 1.0 - 0.5 * bracket
+    scratch = np.empty((_GRAM_ROWS, x.shape[1]))
+    for start in range(0, field.shape[0], _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        factor = np.multiply.outer(
+            (ratio * alpha)[rows], shifted, out=scratch[: field[rows].shape[0]]
+        )
+        factor += constant
+        factor -= (ratio * beta)[rows, None]
+        field[rows] *= factor
+        field[rows] -= np.multiply.outer(0.5 * alpha[rows], u, out=factor)
+
+
+def _times_in_place(x: np.ndarray, p: np.ndarray, block: np.ndarray) -> None:
+    """x <- x p in place, as many rows of x at a time as ``block`` holds."""
+    for start in range(0, x.shape[0], block.shape[0]):
+        rows = x[start : start + block.shape[0]]
+        product = block[: rows.shape[0]]
+        np.matmul(rows, p, out=product)
+        rows[...] = product
+
+
+def _third_order_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray) -> None:
+    """x <- x (I - E/2 + 3E^2/8) in place with no E^2: x E and x E E, a
+    half of ``block`` each, a row block at a time."""
+    half = block.shape[0] // 2
+    for start in range(0, x.shape[0], half):
+        rows = x[start : start + half]
+        xe, xee = block[: rows.shape[0]], block[half : half + rows.shape[0]]
+        np.matmul(rows, e, out=xe)
+        np.matmul(xe, e, out=xee)
+        xe *= -0.5
+        xee *= 0.375
+        rows += xe
+        rows += xee
 
 
 def _polar_factor(params: SystemParams, spectrum: Spectrum):
     """Orthogonal polar factor of the rescaled matrix X by Newton-Schulz
     steps, with X's raw column norms, largest off-diagonal Gram entry, step
-    count and final step's order.
+    count, final step's order and whether the first iterate was closed form.
 
     X is made here, not passed in (an argument stays alive until the call
-    returns), so the first step x <- x P drops it: at any step count at
-    most three (N+1)^2 arrays are held, x, E = x^T x - I (made P in place
-    by each step) and x P or E^2.  The first E is the closed form
+    returns), and every step writes over it.  Two (N+1)^2 arrays are held,
+    the iterate x and E = x^T x - I (made P in place by a second-order
+    step), and one ``_PRODUCT_ROWS``-row block: each step product x P is
+    written over x a row block at a time.  The first E is the closed form
     (:func:`_closed_gram`, O(N^2), diagonal 0 as the columns have unit
-    norm) and drives only the first step; every later E is the product
-    x^T x, so the final step sees the Gram of the matrix it returns.
-    A second-order step, P = I - E/2, maps every eigenvalue e of E to
-    -(3/4) e^2 (1 - e/3) and is final once (3/4) e^2 (1 + e/3) at
-    e = ||E||_F falls below roundoff; else the third-order P = I - E/2 +
-    3 E^2/8 is, once (5/8) e^3 (1 + 3e/8 + 9e^2/40) does.  So every
-    ||E_0||_F up to 3e-3 takes two steps: one Gram product and two step
-    products, and one more for E^2 when the defect is not small.
+    norm), and so is the first iterate X (I - E_0/2) while max |bracket|
+    stays within ``_BRACKET_MAX`` (:func:`_first_iterate`); past it the
+    product x P_0 forms it.  Every later E is the product x^T x, so the
+    final step sees the Gram of the matrix it returns.  A second-order
+    step, P = I - E/2, maps every eigenvalue e of E to -(3/4) e^2 (1 - e/3)
+    and is final once (3/4) e^2 (1 + e/3) at e = ||E||_F falls below
+    roundoff; else the third-order step x <- x (I - E/2 + 3 E^2/8) is, once
+    (5/8) e^3 (1 + 3e/8 + 9e^2/40) does, and takes x E and x E E a row
+    block at a time, with no E^2 array.  So every ||E_0||_F up to 3e-3
+    takes two steps: one Gram product and one step product, and one more
+    step product when the defect is not small.
     """
-    atom, _, gram_rows = _closed_gram(params, spectrum)
+    atom, _, shifted, gram_rows = _closed_gram(params, spectrum)
     x, raw_norms = _rescaled_matrix(params, spectrum)
     defect = np.empty_like(x)
-    raw_offdiag = max(_max_abs(g) for _, _, g in gram_rows(atom / raw_norms, defect))
+    raw_offdiag, e, bracket = _first_defect(gram_rows, atom / raw_norms, defect)
+    closed = bool(_max_abs(bracket) <= _BRACKET_MAX)
+    block = np.empty((_PRODUCT_ROWS, x.shape[1]))
     stride = defect.shape[0] + 1  # flat stride of the diagonal
     previous = np.inf
     for step in range(_POLAR_MAX_STEPS):
-        e = float(np.linalg.norm(defect))
-        second = 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF
-        third = 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF
-        if step and (second or third):
-            if not second:
-                square = defect.T @ defect  # E^2, as E is symmetric
-                square *= -0.75
-                defect += square
-                del square
-            defect *= -0.5
-            defect.flat[::stride] += 1.0
-            return x @ defect, raw_norms, raw_offdiag, step + 1, 2 if second else 3
+        if step:
+            np.matmul(x.T, x, out=defect)
+            defect.flat[::stride] -= 1.0
+            e = float(np.linalg.norm(defect))
+            second = 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF
+            third = 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF
+            if second or third:
+                if second:
+                    defect *= -0.5
+                    defect.flat[::stride] += 1.0
+                    _times_in_place(x, defect, block)
+                else:
+                    _third_order_in_place(x, defect, block)
+                return x, raw_norms, raw_offdiag, step + 1, 2 if second else 3, closed
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
                 f"{e:.3e}; the columns are (nearly) linearly dependent"
             )
         previous = e
+        if closed and not step:
+            _first_iterate(params, x, shifted, bracket)
+            continue
         defect *= -0.5
         defect.flat[::stride] += 1.0
-        x = x @ defect
-        np.matmul(x.T, x, out=defect)
-        defect.flat[::stride] -= 1.0
+        _times_in_place(x, defect, block)
     raise NumericDomainError(
         f"Loewdin iteration did not converge in {_POLAR_MAX_STEPS} steps "
         f"(||X^T X - I||_F = {previous:.3e})"
@@ -327,18 +434,22 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     exactly; the Loewdin step then removes the residual O(1/N) column
     overlaps so that the propagated amplitudes conserve probability to
     machine precision at any truncation.  The Loewdin factor comes from
-    the Newton-Schulz polar iteration, in two steps and three O(N^3)
-    products (four for a larger defect) after a closed-form first Gram for
-    an adequate truncation, and agrees with its eigendecomposition form to
-    1e-12 per entry.  Unordered roots, or columns that are (nearly)
-    linearly dependent, raise :class:`NumericDomainError`.  The raw
-    defects, step count and final order are recorded on the result, and
-    the positive atom row is kept.  At most three (N+1)^2 arrays are held
+    the Newton-Schulz polar iteration.  For an adequate truncation that is
+    two steps after a closed-form first Gram and first iterate: two O(N^3)
+    products, one Gram and one step product (three, with one more step
+    product, for a larger defect).  It agrees with its eigendecomposition
+    form to 1e-12 per entry.  Unordered roots, or columns that are
+    (nearly) linearly dependent, raise :class:`NumericDomainError`.  The
+    raw defects, step count, final order and how the first iterate was
+    formed are recorded on the result, and the positive atom row is kept.
+    At most two (N+1)^2 arrays and one ``_PRODUCT_ROWS``-row block are held
     (:func:`_polar_factor`); the shift max |T - X| rebuilds X in one
     O(N^2) pass, ``_NORM_ROWS`` rows at a time, to the same bits.
     """
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
-    entries, raw_norms, raw_offdiag, steps, order = _polar_factor(params, spectrum)
+    entries, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(
+        params, spectrum
+    )
 
     # the shift max |T - X|, with X rebuilt a block of rows at a time
     omegas, omega_k = spectrum.omegas, params.field_frequencies()
@@ -365,6 +476,7 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
         orthogonalization_shift=shift,
         newton_schulz_steps=steps,
         final_step_order=order,
+        first_iterate_closed_form=closed,
     )
 
 
@@ -458,7 +570,7 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
         raise ValidationError("times must hold at least one time")
     if not np.isfinite(times).all():
         raise ApproximationDomainError("t must be finite")
-    atom, norm_sq, gram_rows = _closed_gram(params, spectrum)
+    atom, norm_sq, _, gram_rows = _closed_gram(params, spectrum)
     scale = atom / np.sqrt(norm_sq)
 
     phases = np.multiply.outer(spectrum.omegas, times)

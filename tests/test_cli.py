@@ -499,6 +499,17 @@ def test_selftest_prints_the_loewdin_path(settings, detail):
     assert result.detail.endswith(detail), result.detail
 
 
+@pytest.mark.parametrize(
+    "settings, path",
+    [({}, "in closed form"), ({"delta": 1000.0, "n_modes": 200}, "by product")],
+)
+def test_selftest_prints_how_the_first_iterate_was_formed(settings, path):
+    # delta = 1000, N = 200 is past the closed form's bracket guard
+    results = cli.selftest_checks(cli.RunConfig(**settings))
+    (result,) = [r for r in results if r.name == "matrix_raw_orthogonality"]
+    assert f", first iterate {path}, " in result.detail, result.detail
+
+
 def test_selftest_flags_injected_corruption(monkeypatch):
     config = cli.RunConfig(n_modes=120)
     params = config.make_params()

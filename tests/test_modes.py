@@ -152,29 +152,80 @@ def test_build_matrix_matches_eigh_loewdin(n, g, delta):
     assert np.all(m.entries[0] > 0.0)
 
 
+def closed_first_defect(params, spectrum):
+    """The rescaled X, the closed-form E_0, its ||E_0||_F, the shifted sums
+    S - N and the bracket (E_0 u)_r / u_r, as build_matrix takes them."""
+    atom, _, shifted, gram_rows = dc.modes._closed_gram(params, spectrum)
+    x, norms = dc.modes._rescaled_matrix(params, spectrum)
+    e0 = np.empty_like(x)
+    _, frobenius, bracket = dc.modes._first_defect(gram_rows, atom / norms, e0)
+    return x, e0, frobenius, shifted, bracket
+
+
 @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0])
-def test_build_matrix_loewdin_steps_do_not_depend_on_delta(delta, monkeypatch):
+def test_build_matrix_loewdin_steps_do_not_depend_on_delta(delta):
     # ||X^T X - I||_F runs from 2e-7 to 3e-3 over these spacings at N=400;
     # every one takes the same two steps (the final step's order, and with
-    # it one E^2 product, follows the defect: see the test below).  Each
-    # step takes one Frobenius norm of the (N+1)^2 defect.
+    # it one more product, follows the defect: see the test below)
     n = 400
     p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
-    norm = np.linalg.norm
-    steps = []
-
-    def counting_norm(a, *args, **kwargs):
-        if a.shape == (n + 1, n + 1) and not args and not kwargs:
-            steps.append(float(norm(a)))
-        return norm(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    _, _, frobenius, _, _ = closed_first_defect(p, spec)
     m = dc.build_matrix(p, spec)
-    monkeypatch.undo()
-    assert len(steps) == 2 and steps[0] <= 3e-3
+    assert m.newton_schulz_steps == 2 and frobenius <= 3e-3
+    assert m.first_iterate_closed_form
     gram = m.entries.T @ m.entries
     assert np.abs(gram - np.eye(n + 1)).max() <= 1e-13
+
+
+# (n, g, delta): the eigh grid below N = 1000, the benchmark's smallest N
+# and weak couplings whose bracket exceeds the guard
+FIRST_ITERATE_CASES = [
+    (n, g, delta)
+    for n in (1, 5, 30, 300)
+    for g in (0.05, 0.5, 1.0, 3.0)
+    for delta in (1e-3, 0.1, 3.0, 1000.0)
+] + [(800, 0.5, 2.0), (1, 0.01, 0.6), (1, 0.01, 1.0), (2, 0.01, 0.3), (5, 0.01, 0.3)]
+
+
+@pytest.mark.parametrize("n, g, delta", FIRST_ITERATE_CASES)
+def test_closed_form_first_iterate_matches_the_product(n, g, delta):
+    # X (I - E_0/2) entrywise against the same product in long double.
+    # Inside the guard max |bracket| <= 4 the worst gap is 1.1e-15 for
+    # N <= 300 and 2.3e-15 at N = 800, where the float64 product itself is
+    # off by up to 3.6e-15.  Past the guard the gap grows like eps
+    # max |bracket| (1.4e-13 at N = 1, g = 0.01, delta = 0.6; 7.6e-11 at
+    # N = 1, g = 0.05, delta = 1000), and the build takes the product.
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    x, e0, _, shifted, bracket = closed_first_defect(p, spec)
+    closed = x.copy()
+    dc.modes._first_iterate(p, closed, shifted, bracket)
+    wide = np.longdouble
+    product = x.astype(wide) @ (np.eye(n + 1, dtype=wide) - e0.astype(wide) / 2)
+    inside = np.abs(bracket).max() <= dc.modes._BRACKET_MAX
+    if delta <= 0.1 or n >= 800:
+        assert inside  # adequate truncations stay well inside the guard
+    if inside:
+        assert float(np.abs(closed - product).max()) <= 4e-15
+    m = dc.build_matrix(p, spec)
+    assert m.first_iterate_closed_form == inside
+
+
+@pytest.mark.parametrize(
+    "n, g, delta",
+    [(1, 0.05, 1000.0), (200, 0.5, 1000.0), (1, 0.01, 0.6), (5, 0.01, 0.3)],
+)
+def test_build_matrix_past_the_guard_takes_the_product(n, g, delta):
+    # the closed-form first iterate loses digits here; the product path
+    # still gives the Loewdin factor of the eigendecomposition form
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    m = dc.build_matrix(p, spec)
+    assert not m.first_iterate_closed_form
+    ref_entries, _ = reference_loewdin(p, spec)
+    assert np.abs(m.entries - ref_entries).max() <= 1e-12
+    assert np.abs(m.entries.T @ m.entries - np.eye(n + 1)).max() <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -214,15 +265,19 @@ def test_build_matrix_rejects_linearly_dependent_columns(n):
         dc.build_matrix(p, degenerate)
 
 
-@pytest.mark.parametrize("delta", [0.1, 1000.0])
-def test_build_matrix_peak_memory_is_three_matrices(delta):
-    # the iterate, E and their product (or E^2), whether the iteration
-    # takes two steps (delta = 0.1) or a dozen (delta = 1000): X is dropped
-    # after the first.  The slack of 64 length-(N+1) vectors covers the
-    # 33-row block of the column norms' squares, the 32-row block of the
-    # shift (held at different times) and the spectrum-sized arrays.
+@pytest.mark.parametrize(
+    "g, delta", [(0.5, 1e-3), (0.5, 0.1), (0.5, 3.0), (0.5, 1000.0), (0.05, 1000.0)]
+)
+def test_build_matrix_peak_memory_is_two_matrices_and_a_block(g, delta):
+    # the iterate, E and one block of step-product rows, whether the build
+    # ends with a second-order step (delta = 1e-3, 0.1), a third-order one
+    # (delta = 3), takes a dozen steps (delta = 1000) or forms its first
+    # iterate by a product (g = 0.05, delta = 1000).  The slack of 64
+    # length-(N+1) vectors covers the 33-row block of the column norms'
+    # squares, the 32-row blocks of E_0, X_1 and the shift (held at
+    # different times) and the spectrum-sized arrays.
     n = 1000
-    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
     tracemalloc.start()
     try:
@@ -231,7 +286,9 @@ def test_build_matrix_peak_memory_is_three_matrices(delta):
     finally:
         tracemalloc.stop()
     assert m.entries.shape == (n + 1, n + 1)
-    assert peak <= 3 * 8 * (n + 1) ** 2 + 64 * 8 * (n + 1)
+    assert m.first_iterate_closed_form == (g == 0.5)
+    block = dc.modes._PRODUCT_ROWS * 8 * (n + 1)
+    assert peak <= 2 * 8 * (n + 1) ** 2 + block + 64 * 8 * (n + 1)
 
 
 @pytest.mark.parametrize("delta", [1e-3, 0.1, 1000.0])
@@ -342,7 +399,7 @@ def test_atom_row_rejects_mismatched_spectrum(small_params, baseline_spectrum):
 
 
 def test_atom_row_peak_memory_is_one_matrix():
-    # X alone; build_matrix holds three at its peak.  The slack of 64
+    # X alone; build_matrix holds two and a block.  The slack of 64
     # length-(N+1) vectors covers the 32-row Lanczos basis, the 33-row
     # block of the column norms' squares (held at different times) and
     # the spectrum-sized arrays.
@@ -403,7 +460,7 @@ def test_closed_form_gram_matches_the_product(n, g, delta):
     # x^T x - I; the worst case, 6.3e-14, is the last (root rounding)
     p = dc.make_params(1.0, g, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
-    atom, _, gram_rows = dc.modes._closed_gram(p, spec)
+    atom, _, _, gram_rows = dc.modes._closed_gram(p, spec)
     x, norms = dc.modes._rescaled_matrix(p, spec)
     closed = np.empty_like(x)
     for _ in gram_rows(atom / norms, closed):
