@@ -28,7 +28,7 @@ from .errors import (
     PhysicalityError,
     ValidationError,
 )
-from .evolution import amplitude_row
+from .evolution import _checked_times, amplitude_row
 from .modes import ModeMatrix, build_matrix
 from .params import SystemParams
 from .spectrum import Spectrum, solve_spectrum
@@ -231,10 +231,10 @@ def entropy_time_independence_check(
     truncated basis, an (N+2)^2 eigensolve per time point, and nothing
     about the known rank-2 structure is assumed.  Production entropies
     come from ``rank_two_entropy``; the CLI selftest runs this check at
-    N <= 100 only.  Deviations are reported, never raised; an empty grid is
-    refused before any work.
+    N <= 100 only.  Deviations are reported, never raised; an empty grid
+    and a time that is not finite are refused before any work.
     """
-    times = np.asarray(list(time_grid), dtype=float)
+    times = _checked_times(list(time_grid))
     if times.size == 0:
         raise ValidationError("time_grid must hold at least one time")
     if spectrum is None:

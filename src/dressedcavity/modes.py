@@ -11,18 +11,30 @@ acquire O(1/N) mutual overlaps.  :func:`build_matrix` therefore rescales
 every column to unit norm and then applies a symmetric (Loewdin)
 orthogonalization, which is the minimal-change correction restoring the
 exact orthonormality the evolution stage relies on.  The Loewdin factor
-X (X^T X)^(-1/2) is the orthogonal polar factor of the rescaled matrix X;
-it is computed by the Newton-Schulz iteration X <- X (I - E/2) with
-E = X^T X - I, whose last step is X <- X (I - E/2 + 3E^2/8) unless the
-defect is already small: two steps for an adequate truncation, whose first
-iterate has a closed form (below), so the rest is one Gram product and one
-step product, or two step products for the third-order final step.  The
-tests hold the result to the eigendecomposition form of the same factor
-within 1e-12 per entry.  The build holds two (N+1)^2 arrays and one block
-of rows at its peak, at any step count (every step product is written
-over the iterate a row block at a time, and X is rebuilt in row blocks for
-the shift), and keeps the raw truncation defects on the result as
-diagnostics.
+X (X^T X)^(-1/2) is the orthogonal polar factor of the rescaled matrix X,
+computed by Newton-Schulz steps with E = X^T X - I.  The step schedule:
+
+1. The first E is the closed-form Gram (below), and the first iterate
+   X (I - E_0/2) is in closed form too (below) while max |bracket| stays
+   within ``_BRACKET_MAX``, else the product.
+2. Every later E is the product X^T X, so the final step sees the Gram
+   of the matrix it returns.  The second-order step X <- X (I - E/2)
+   maps each eigenvalue e of E to -(3/4) e^2 (1 - e/3); it is final once
+   (3/4) e^2 (1 + e/3) at e = ||E||_F falls below roundoff.  Else the
+   third-order step X <- X (I - E/2 + 3E^2/8) is, once
+   (5/8) e^3 (1 + 3e/8 + 9e^2/40) does.
+3. Else, if ||E||_F has not fallen since the last step, the columns are
+   (nearly) dependent and the build is refused; otherwise a second-order
+   step follows, up to ``_POLAR_MAX_STEPS`` steps in all.
+
+So every ||E_0||_F up to 3e-3 takes two steps: one Gram product and one
+step product, and one more step product when the defect is not small.
+The tests hold the result to the eigendecomposition form of the same
+factor within 1e-12 per entry.  The build holds two (N+1)^2 arrays (the
+iterate, and E, made I - E/2 in place) and one block of rows at any step
+count: every step product, X E and X E E included, is written over the
+iterate a row block at a time, and X is rebuilt in row blocks for the
+shift.  The raw truncation defects are kept on the result as diagnostics.
 
 The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 :func:`atom_row` gets it by Lanczos matrix-vector products on the same
@@ -95,11 +107,9 @@ _POLAR_MAX_STEPS = 50
 
 _ROUNDOFF = float(np.finfo(float).eps)
 
-#: rows per block of the column norms' squares and of the shift's rebuilt X
-_NORM_ROWS = 32
-
-#: rows per block of the closed-form Gram matrix in :func:`raw_defects`
-_GRAM_ROWS = 32
+#: rows per block of the O(N^2) passes: the column norms' squares, the
+#: closed-form Gram matrix, the first iterate and the shift's rebuilt X
+_BLOCK_ROWS = 32
 
 #: rows per block of the Newton-Schulz step products, written over the iterate
 _PRODUCT_ROWS = 512
@@ -225,14 +235,14 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=0)`` to the bit, without an (N+1)^2 temporary.
 
     That norm adds the squares of each column in row order.  Here they are
-    added ``_NORM_ROWS`` rows at a time, with the running sums carried in
+    added ``_BLOCK_ROWS`` rows at a time, with the running sums carried in
     as the first row of each block, so the additions and their order are
     the same; contiguous rows also make it faster than the unblocked form.
     """
-    squares = np.empty((_NORM_ROWS + 1, x.shape[1]))
+    squares = np.empty((_BLOCK_ROWS + 1, x.shape[1]))
     sums = np.zeros(x.shape[1])
-    for start in range(0, x.shape[0], _NORM_ROWS):
-        block = x[start : start + _NORM_ROWS]
+    for start in range(0, x.shape[0], _BLOCK_ROWS):
+        block = x[start : start + _BLOCK_ROWS]
         squares[0] = sums
         np.multiply(block, block, out=squares[1 : block.shape[0] + 1])
         np.add.reduce(squares[: block.shape[0] + 1], axis=0, out=sums)
@@ -258,7 +268,7 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
     """The atom row a, the raw column norms' squares G_rr and ``gram_rows``.
 
     ``gram_rows(scale, out=None)`` yields ``(rows, diagonal, block)``: each
-    ``_GRAM_ROWS`` rows of scale_r scale_s G_rs / (a_r a_s) (module
+    ``_BLOCK_ROWS`` rows of scale_r scale_s G_rs / (a_r a_s) (module
     docstring), into those rows of ``out`` if given, with the block's
     ``diagonal`` set to 0.  Refuses what :func:`raw_defects` refuses.
     """
@@ -271,8 +281,8 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
     # S_r - N = x_r sum_k 1/(omega_k^2 - x_r) and S'_r, row block by row block
     shifted = np.empty(roots_sq.size)
     slope = np.empty(roots_sq.size)
-    for start in range(0, roots_sq.size, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
+    for start in range(0, roots_sq.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         inverse = np.subtract.outer(roots_sq[rows], field_sq)
         np.divide(1.0, inverse, out=inverse)  # 1/(x_r - omega_k^2)
         shifted[rows] = -roots_sq[rows] * inverse.sum(axis=1)
@@ -280,8 +290,8 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
         slope[rows] = inverse @ field_sq
 
     def gram_rows(scale, out=None):
-        for start in range(0, roots_sq.size, _GRAM_ROWS):
-            rows = slice(start, start + _GRAM_ROWS)
+        for start in range(0, roots_sq.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
             into = None if out is None else out[rows]
             block = np.subtract.outer(roots_sq[rows], roots_sq, out=into)
             local = np.arange(block.shape[0])
@@ -318,7 +328,7 @@ def _first_iterate(params: SystemParams, x: np.ndarray, shifted, bracket) -> Non
     X_1[0, r] = u_r (1 - bracket_r/2) and
     X_1[k, r] = X[k, r] [1 - (bracket_r - u.u)/2 - (eta/(2 omega_k))
     (beta_k - S_r alpha_k)] - u_r alpha_k/2 (module docstring): O(N^2) time,
-    ``_GRAM_ROWS`` rows at a time.
+    ``_BLOCK_ROWS`` rows at a time.
     """
     u = x[0].copy()
     field = x[1:]
@@ -326,9 +336,9 @@ def _first_iterate(params: SystemParams, x: np.ndarray, shifted, bracket) -> Non
     ratio = 0.5 * params.eta / params.field_frequencies()  # (eta^2/2)/(eta omega_k)
     constant = 1.0 - 0.5 * (bracket - u @ u)
     x[0] *= 1.0 - 0.5 * bracket
-    scratch = np.empty((_GRAM_ROWS, x.shape[1]))
-    for start in range(0, field.shape[0], _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
+    scratch = np.empty((_BLOCK_ROWS, x.shape[1]))
+    for start in range(0, field.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         factor = np.multiply.outer(
             (ratio * alpha)[rows], shifted, out=scratch[: field[rows].shape[0]]
         )
@@ -338,12 +348,15 @@ def _first_iterate(params: SystemParams, x: np.ndarray, shifted, bracket) -> Non
         field[rows] -= np.multiply.outer(0.5 * alpha[rows], u, out=factor)
 
 
-def _times_in_place(x: np.ndarray, p: np.ndarray, block: np.ndarray) -> None:
-    """x <- x p in place, as many rows of x at a time as ``block`` holds."""
+def _second_order_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray) -> None:
+    """x <- x (I - E/2) in place: P = I - E/2 is formed in E's buffer, and
+    x P written over x as many rows at a time as ``block`` holds."""
+    e *= -0.5
+    e.flat[:: e.shape[0] + 1] += 1.0
     for start in range(0, x.shape[0], block.shape[0]):
         rows = x[start : start + block.shape[0]]
         product = block[: rows.shape[0]]
-        np.matmul(rows, p, out=product)
+        np.matmul(rows, e, out=product)
         rows[...] = product
 
 
@@ -363,63 +376,42 @@ def _third_order_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray) -> No
 
 
 def _polar_factor(params: SystemParams, spectrum: Spectrum):
-    """Orthogonal polar factor of the rescaled matrix X by Newton-Schulz
-    steps, with X's raw column norms, largest off-diagonal Gram entry, step
-    count, final step's order and whether the first iterate was closed form.
+    """Orthogonal polar factor of the rescaled matrix X by the Newton-Schulz
+    schedule of the module docstring, with X's raw column norms, largest
+    off-diagonal Gram entry, step count, final step's order and whether the
+    first iterate was closed form.
 
     X is made here, not passed in (an argument stays alive until the call
-    returns), and every step writes over it.  Two (N+1)^2 arrays are held,
-    the iterate x and E = x^T x - I (made P in place by a second-order
-    step), and one ``_PRODUCT_ROWS``-row block: each step product x P is
-    written over x a row block at a time.  The first E is the closed form
-    (:func:`_closed_gram`, O(N^2), diagonal 0 as the columns have unit
-    norm), and so is the first iterate X (I - E_0/2) while max |bracket|
-    stays within ``_BRACKET_MAX`` (:func:`_first_iterate`); past it the
-    product x P_0 forms it.  Every later E is the product x^T x, so the
-    final step sees the Gram of the matrix it returns.  A second-order
-    step, P = I - E/2, maps every eigenvalue e of E to -(3/4) e^2 (1 - e/3)
-    and is final once (3/4) e^2 (1 + e/3) at e = ||E||_F falls below
-    roundoff; else the third-order step x <- x (I - E/2 + 3 E^2/8) is, once
-    (5/8) e^3 (1 + 3e/8 + 9e^2/40) does, and takes x E and x E E a row
-    block at a time, with no E^2 array.  So every ||E_0||_F up to 3e-3
-    takes two steps: one Gram product and one step product, and one more
-    step product when the defect is not small.
+    returns), and every step writes over it.  The iterate x, E and one
+    ``_PRODUCT_ROWS``-row block are held.
     """
     atom, _, shifted, gram_rows = _closed_gram(params, spectrum)
     x, raw_norms = _rescaled_matrix(params, spectrum)
     defect = np.empty_like(x)
-    raw_offdiag, e, bracket = _first_defect(gram_rows, atom / raw_norms, defect)
+    raw_offdiag, previous, bracket = _first_defect(gram_rows, atom / raw_norms, defect)
     closed = bool(_max_abs(bracket) <= _BRACKET_MAX)
     block = np.empty((_PRODUCT_ROWS, x.shape[1]))
-    stride = defect.shape[0] + 1  # flat stride of the diagonal
-    previous = np.inf
-    for step in range(_POLAR_MAX_STEPS):
-        if step:
-            np.matmul(x.T, x, out=defect)
-            defect.flat[::stride] -= 1.0
-            e = float(np.linalg.norm(defect))
-            second = 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF
-            third = 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF
-            if second or third:
-                if second:
-                    defect *= -0.5
-                    defect.flat[::stride] += 1.0
-                    _times_in_place(x, defect, block)
-                else:
-                    _third_order_in_place(x, defect, block)
-                return x, raw_norms, raw_offdiag, step + 1, 2 if second else 3, closed
+    if closed:
+        _first_iterate(params, x, shifted, bracket)
+    else:
+        _second_order_in_place(x, defect, block)
+    for steps in range(2, _POLAR_MAX_STEPS + 1):
+        np.matmul(x.T, x, out=defect)
+        defect.flat[:: defect.shape[0] + 1] -= 1.0
+        e = float(np.linalg.norm(defect))
+        if 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF:
+            _second_order_in_place(x, defect, block)
+            return x, raw_norms, raw_offdiag, steps, 2, closed
+        if 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF:
+            _third_order_in_place(x, defect, block)
+            return x, raw_norms, raw_offdiag, steps, 3, closed
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
                 f"{e:.3e}; the columns are (nearly) linearly dependent"
             )
         previous = e
-        if closed and not step:
-            _first_iterate(params, x, shifted, bracket)
-            continue
-        defect *= -0.5
-        defect.flat[::stride] += 1.0
-        _times_in_place(x, defect, block)
+        _second_order_in_place(x, defect, block)
     raise NumericDomainError(
         f"Loewdin iteration did not converge in {_POLAR_MAX_STEPS} steps "
         f"(||X^T X - I||_F = {previous:.3e})"
@@ -434,17 +426,15 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     exactly; the Loewdin step then removes the residual O(1/N) column
     overlaps so that the propagated amplitudes conserve probability to
     machine precision at any truncation.  The Loewdin factor comes from
-    the Newton-Schulz polar iteration.  For an adequate truncation that is
-    two steps after a closed-form first Gram and first iterate: two O(N^3)
-    products, one Gram and one step product (three, with one more step
-    product, for a larger defect).  It agrees with its eigendecomposition
-    form to 1e-12 per entry.  Unordered roots, or columns that are
-    (nearly) linearly dependent, raise :class:`NumericDomainError`.  The
-    raw defects, step count, final order and how the first iterate was
-    formed are recorded on the result, and the positive atom row is kept.
-    At most two (N+1)^2 arrays and one ``_PRODUCT_ROWS``-row block are held
-    (:func:`_polar_factor`); the shift max |T - X| rebuilds X in one
-    O(N^2) pass, ``_NORM_ROWS`` rows at a time, to the same bits.
+    the Newton-Schulz schedule of the module docstring
+    (:func:`_polar_factor`) and agrees with its eigendecomposition form to
+    1e-12 per entry.  Unordered roots, or columns that are (nearly)
+    linearly dependent, raise :class:`NumericDomainError`.  The raw
+    defects, step count, final order and how the first iterate was formed
+    are recorded on the result, and the positive atom row is kept.  At most
+    two (N+1)^2 arrays and one ``_PRODUCT_ROWS``-row block are held; the
+    shift max |T - X| rebuilds X in one O(N^2) pass, ``_BLOCK_ROWS`` rows
+    at a time, to the same bits.
     """
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
     entries, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(
@@ -455,9 +445,9 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     omegas, omega_k = spectrum.omegas, params.field_frequencies()
     atom_row = atom_element(params, omegas)
     shift = _max_abs(entries[0] - atom_row / raw_norms)
-    block = np.empty((_NORM_ROWS, omegas.size))
-    for start in range(0, omega_k.size, _NORM_ROWS):
-        rows = slice(start, start + _NORM_ROWS)
+    block = np.empty((_BLOCK_ROWS, omegas.size))
+    for start in range(0, omega_k.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         field = entries[1:][rows]
         x = _field_rows(params, omega_k[rows], omegas, atom_row, block[: len(field)])
         x /= raw_norms
@@ -552,14 +542,18 @@ class RawDefects:
 def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     """The three raw truncation defects from the closed-form Gram matrix.
 
-    ``column_norm`` is max |1 - n_r^2| over ``build_matrix``'s
-    ``raw_column_norms``, ``orthogonality`` its
-    ``raw_orthogonality_defect``, and ``unitarity`` the largest
+    ``column_norm`` is max |1 - n_r^2| and ``orthogonality`` the largest
+    |off-diagonal entry| of the rescaled Gram, both with the closed-form
+    norms n_r^2 = G_rr.  ``build_matrix`` rescales by the norms of the
+    assembled columns instead, so its ``raw_column_norms`` and
+    ``raw_orthogonality_defect`` differ from these by roundoff: up to
+    3.0e-15 and 4.4e-16 over 51 builds (N 1-3000, g 0.05-3, delta
+    1e-3-1000).  ``unitarity`` is the largest
     |1 - sum_nu |f_0_nu(t)|^2| over ``times`` with the column-rescaled,
     unrepaired matrix X.  With c the rescaled atom row and
     w_t = c * exp(-i Omega t), that sum is w_t^H G w_t for the Gram
     matrix G = X^T X of the module docstring, which is taken here
-    ``_GRAM_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
+    ``_BLOCK_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
     time, O(N) memory.  The preconditions are those of
     :func:`assemble_raw_matrix`, and roots that do not increase strictly
     raise :class:`NumericDomainError` as in :func:`atom_row`.  An empty grid

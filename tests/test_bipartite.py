@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dressedcavity as dc
 from dressedcavity import bipartite, cli
 from dressedcavity.errors import (
+    ApproximationDomainError,
     NormalizationError,
     PhysicalityError,
     ValidationError,
@@ -255,18 +256,24 @@ def test_entropy_flatness_at_half(baseline_params, baseline_spectrum,
 def test_entropy_flatness_refuses_an_empty_grid_before_any_work(
     baseline_params, monkeypatch
 ):
-    """An empty grid has no maximum deviation; it is refused before the
-    spectrum and the mode matrix are built."""
+    """An empty grid has no maximum deviation, and a time that is not
+    finite no amplitude; both are refused before the spectrum and the mode
+    matrix are built."""
 
     def no_work(*args):
         raise AssertionError("the grid is checked before any work")
 
     monkeypatch.setattr(bipartite, "solve_spectrum", no_work)
     monkeypatch.setattr(bipartite, "build_matrix", no_work)
-    with pytest.raises(ValidationError, match="at least one time"):
-        dc.entropy_time_independence_check(
-            baseline_params, dc.EntangledStateConfig(xi=0.3), ()
-        )
+    for grid, error, message in (
+        ((), ValidationError, "at least one time"),
+        ((0.0, float("nan")), ApproximationDomainError, "t must be finite"),
+        ((float("inf"),), ApproximationDomainError, "t must be finite"),
+    ):
+        with pytest.raises(error, match=message):
+            dc.entropy_time_independence_check(
+                baseline_params, dc.EntangledStateConfig(xi=0.3), grid
+            )
 
 
 def test_entropy_symmetry_in_xi():

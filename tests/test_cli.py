@@ -59,6 +59,27 @@ def test_config_file_unknown_key(tmp_path):
         assert cli.main(["evolve", "--config", str(cfg_file)]) == 3
 
 
+def test_config_file_unknown_mode_exits_3_without_output(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mode = free_space\n")
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfg_file), "--out", str(out)]) == 3
+    assert "mode must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, dump", [("yes", True), ("no", False)])
+def test_config_file_dump_matrix_switch(tmp_path, text, dump):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"dump_matrix = {text}\n")
+    assert cli.load_config_file(str(cfg_file)) == {"dump_matrix": dump}
+    out = tmp_path / "out"
+    argv = ["spectrum", "--config", str(cfg_file), "--n-modes", "20", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert (out / "spectrum.csv").exists()
+    assert (out / "matrix.csv").exists() == dump
+
+
 def test_n_sweep_flag_and_file_parse_alike(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n_sweep = 100,300,\n")
@@ -81,6 +102,7 @@ def test_n_sweep_flag_and_file_parse_alike(tmp_path):
         "n_sweep = 100,x",
         "dump_matrix = maybe",
         "delta = none",
+        "n_modes 50",  # no '=': the whole line is named
     ],
 )
 def test_config_file_bad_value_names_line_and_key(tmp_path, capsys, line):
@@ -160,6 +182,17 @@ def test_cmd_spectrum_output(tmp_path):
     assert rows[0, 2] == pytest.approx(0.89528024488034023, abs=1e-12)
     assert np.all(rows[:, 1] > rows[:, 4]) and np.all(rows[:, 1] < rows[:, 5])
     assert np.all(rows[:, 3] < 1e-10)
+
+
+def test_cmd_spectrum_writes_nan_where_first_order_values_are_refused(tmp_path):
+    # the first-order roots need delta < 0.5: at 0.6 the table is still
+    # written, with the exact roots and a NaN omega_approx column
+    argv = ["spectrum", "--delta", "0.6", "--n-modes", "40", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    header, rows = read_csv(tmp_path / "spectrum.csv")
+    assert rows.shape == (41, 6)
+    assert np.isnan(rows[:, header.index("omega_approx")]).all()
+    assert np.isfinite(rows[:, header.index("omega_exact")]).all()
 
 
 def test_cmd_spectrum_matrix_dump(tmp_path):
@@ -692,11 +725,22 @@ def test_free_space_numeric_past_the_phase_cap_exits_3_without_output(
         ("tol", float("nan")),
         ("t_min", float("-inf")),
         ("t_max", float("nan")),
+        ("t_max", 0.0),
+        ("t_min", 100.0),
+        ("t_steps", 1),
     ],
 )
 def test_validate_rejects_bad_numeric_settings(field, value):
     config = cli.RunConfig(**{field: value})
     with pytest.raises(ValidationError, match=field):
+        config.validate()
+
+
+@pytest.mark.parametrize("t_max", [0.0, -0.5])
+def test_validate_rejects_a_grid_that_ends_at_or_before_zero(t_max):
+    # t_min < t_max passes the order check, so only the sign refuses it
+    config = cli.RunConfig(t_min=-1.0, t_max=t_max)
+    with pytest.raises(ValidationError, match="t_max must be positive"):
         config.validate()
 
 

@@ -183,6 +183,25 @@ def test_unreachable_tolerance_raises(weak):
     assert excinfo.value.achieved > 0.0
 
 
+def test_integral_short_of_its_share_raises_with_its_estimate(weak, monkeypatch):
+    """The integral is handed half of tol (in units of the transform, tol
+    pi / (4g)), and the ray cut e^-V / x0 is added to what it reaches.  An
+    integral that reports twice its share fails the sum, and the error
+    carries that sum."""
+    handed = []
+
+    def short(h, intervals, tol):
+        handed.append(tol)
+        return 0j, 2.0 * tol
+
+    monkeypatch.setattr(freespace, "quad", short)
+    with pytest.raises(QuadratureError, match="achieved error estimate") as excinfo:
+        dc.freespace_f00_numeric(weak, 2.0, tol=1e-9)
+    assert handed == [1e-9 / (4.0 * weak.g / np.pi) / 2]
+    cut = math.exp(-freespace._RAY_END) / freespace._shoulders(weak)[-1]
+    assert excinfo.value.achieved == 2.0 * handed[0] + cut
+
+
 def quad_spy(monkeypatch):
     """Record the intervals of every freespace.quad call, then run it."""
     calls = []

@@ -266,6 +266,29 @@ def test_build_matrix_rejects_linearly_dependent_columns(n):
 
 
 @pytest.mark.parametrize(
+    "nudge, message",
+    [
+        # one ulp apart: the Gram's smallest eigenvalue is at roundoff, and
+        # ||E||_F stops falling
+        (lambda omega: np.nextafter(omega, np.inf), "stopped converging"),
+        # 1e-7 apart: ||E||_F keeps falling, too slowly to end in 50 steps
+        (lambda omega: omega * (1.0 + 1e-7), "did not converge in 50 steps"),
+    ],
+    ids=["one ulp apart", "1e-7 apart"],
+)
+def test_build_matrix_refuses_nearly_dependent_columns(nudge, message):
+    # roots that increase strictly pass _check_increasing, so the Loewdin
+    # iteration itself must refuse two nearly identical columns
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=20)
+    spec = dc.solve_spectrum(p)
+    omegas = np.array(spec.omegas)
+    omegas[1] = nudge(omegas[0])
+    assert omegas[1] > omegas[0]
+    with pytest.raises(NumericDomainError, match=message):
+        dc.build_matrix(p, replace(spec, omegas=omegas))
+
+
+@pytest.mark.parametrize(
     "g, delta", [(0.5, 1e-3), (0.5, 0.1), (0.5, 3.0), (0.5, 1000.0), (0.05, 1000.0)]
 )
 def test_build_matrix_peak_memory_is_two_matrices_and_a_block(g, delta):
