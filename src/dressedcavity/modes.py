@@ -20,21 +20,39 @@ computed by Newton-Schulz steps with E = X^T X - I.  The step schedule:
 2. Every later E is the product X^T X, so the final step sees the Gram
    of the matrix it returns.  The second-order step X <- X (I - E/2)
    maps each eigenvalue e of E to -(3/4) e^2 (1 - e/3); it is final once
-   (3/4) e^2 (1 + e/3) at e = ||E||_F falls below roundoff.  Else the
-   third-order step X <- X (I - E/2 + 3E^2/8) is, once
-   (5/8) e^3 (1 + 3e/8 + 9e^2/40) does.
+   (3/4) e^2 (1 + e/3) at e = ||E||_F falls below roundoff, that is for
+   e <= 1.7e-8.  Else, once (5/8) e^3 (1 + 3e/8 + 9e^2/40) does, the
+   ``_SPLIT_WIDTH`` orthonormal columns Q of a fixed-start subspace
+   iteration (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011)) split E
+   into Q T Q^T, T = Q^T E Q, and R = E - Q T Q^T.  If r = ||R||_F, which
+   is sqrt(e^2 - ||T||_F^2), passes the second-order bound, the final
+   step is the third-order X <- X (I - E/2 + 3E^2/8) less 3R^2/8 (below
+   roundoff, as r is).
 3. Else, if ||E||_F has not fallen since the last step, the columns are
    (nearly) dependent and the build is refused; otherwise a second-order
    step follows, up to ``_POLAR_MAX_STEPS`` steps in all.
 
-So every ||E_0||_F up to 3e-3 takes two steps: one Gram product and one
-step product, and one more step product when the defect is not small.
-The tests hold the result to the eigendecomposition form of the same
-factor within 1e-12 per entry.  The build holds two (N+1)^2 arrays (the
-iterate, and E, made I - E/2 in place) and one block of rows at any step
-count: every step product, X E and X E E included, is written over the
-iterate a row block at a time, and X is rebuilt in row blocks for the
-shift.  The raw truncation defects are kept on the result as diagnostics.
+A final step adds its correction to X instead of forming the product:
+X (-E/2), or X (-R/2) after the split, in float32, and the rest of the
+deflated step, X Q and X R Q times a 16-row factor, in float64.  float32
+touches only a remainder of Frobenius norm <= 1.7e-8, so its relative
+6e-8 leaves about 1e-15 per entry (the mixed-precision refinement of
+Higham & Mary, Acta Numer. 31 (2022)); every other step stays float64.
+So every ||E_0||_F up to 3e-3 takes two steps, and each adequate build
+costs one float64 Gram product and one float32 step product, which runs
+about twice as fast as a float64 one.  The deflated finish adds three
+thin products E Q (N x 8) and O(N^2) passes.  Each step before the final
+one costs a Gram and a float64 step product.  The tests hold the result
+to the eigendecomposition form of the same factor within 1e-12 per
+entry, and to the all-float64 final step within 5e-15.  The build holds
+two (N+1)^2 arrays (the iterate, and E) and one ``_PRODUCT_ROWS``-row
+block at any step count: every step product is written over the iterate
+a row block at a time, the float32 E (or R) is cast into the first half
+of E's own buffer, the deflation's thin arrays live in the block, and X
+is rebuilt in row blocks for the shift.  Under tracemalloc the peak at
+N = 3000 is 2.186 (N+1)^2 arrays (150 MiB), 2.178 when the first iterate
+is a product.  The raw truncation defects are kept on the result as
+diagnostics.
 
 The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 :func:`atom_row` gets it by Lanczos matrix-vector products on the same
@@ -114,6 +132,11 @@ _BLOCK_ROWS = 32
 #: rows per block of the Newton-Schulz step products, written over the iterate
 _PRODUCT_ROWS = 512
 
+#: width and sweeps of the subspace iteration that splits the largest
+#: eigenvalues of E off before a third-order final step (:func:`_split`)
+_SPLIT_WIDTH = 8
+_SPLIT_SWEEPS = 2
+
 #: largest max_r |bracket_r| at which the first iterate is taken in closed
 #: form (:func:`_first_iterate`): its roundoff grows like eps times that
 #: bracket, and the tests hold it within 4e-15 of the product up to here
@@ -133,7 +156,7 @@ class ModeMatrix:
     raw_orthogonality_defect: float   # max |column dot| off the diagonal, raw
     orthogonalization_shift: float    # max |entry change| due to Loewdin step
     newton_schulz_steps: int          # Loewdin steps taken, the final one included
-    final_step_order: int             # 2 or 3, the order of the final step
+    final_step_order: int             # 2 or 3 (deflated), the final step's order
     first_iterate_closed_form: bool   # X (I - E_0/2) entrywise, not a product
 
 
@@ -360,19 +383,110 @@ def _second_order_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray) -> N
         rows[...] = product
 
 
-def _third_order_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray) -> None:
-    """x <- x (I - E/2 + 3E^2/8) in place with no E^2: x E and x E E, a
-    half of ``block`` each, a row block at a time."""
+def _second_order_final(e: float) -> bool:
+    """Whether (3/4) e^2 (1 + e/3), the second-order step's bound on the
+    Gram defect it leaves at ||E||_F = e, is below roundoff."""
+    return 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF
+
+
+def _start_block(out: np.ndarray) -> None:
+    """Fixed pseudo-random entries in [-1/2, 1/2) into the contiguous ``out``:
+    the SplitMix64 hash of each entry's index (Steele, Lea & Flood, OOPSLA
+    2014), the same bits on every machine and without ``numpy.random``."""
+    z = np.arange(1, out.size + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    np.multiply(z, 2.0**-53, out=out.reshape(-1))
+    out -= 0.5
+
+
+def _split(e: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """T = Q^T E Q for the orthonormal Q of a fixed-start subspace iteration
+    on E, with the rows Q^T and (R Q)^T, R = E - Q T Q^T, as the first
+    2 ``_SPLIT_WIDTH`` rows of the last half of ``block``.
+
+    ``_SPLIT_SWEEPS`` products E Q, each orthonormalized by ``np.linalg.qr``,
+    then one more for E Q, whence T and R Q = E Q - Q T: E is read
+    ``_SPLIT_SWEEPS`` + 1 times.  Q^T R Q = 0, so ||R||_F^2 is
+    ||E||_F^2 - ||T||_F^2.
+    """
+    width = min(_SPLIT_WIDTH, e.shape[0])
+    thin = block[block.shape[0] // 2 :]
+    q, rq, eq = thin[:width], thin[width : 2 * width], thin[2 * width : 3 * width]
+    _start_block(q)
+    for _ in range(_SPLIT_SWEEPS):
+        np.matmul(q, e, out=eq)
+        q[...] = np.linalg.qr(eq.T)[0].T
+    np.matmul(q, e, out=rq)
+    t = rq @ q.T
+    t += t.T
+    t *= 0.5
+    rq -= np.matmul(t, q, out=eq)
+    return t
+
+
+def _final_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray, t) -> None:
+    """The final step written over x: x + f32(x) f32(-E/2) or, with the
+    ``t`` of :func:`_split`, the deflated third-order step
+    x + f32(x) f32(-R/2) + [x Q, x R Q] F, where the 16-row F is
+    [T (-Q^T/2 + 3(T Q^T + (R Q)^T)/8); (3/8) T Q^T] and the sum is
+    x (I - E/2 + 3(E^2 - R^2)/8); F and x Q, x R Q are float64.
+
+    f32(-E/2), or f32(-R/2), is cast into the first half of E's own buffer
+    a row block at a time, staged in the first half of ``block``.  Then
+    each row block of x takes that half for its float32 copy and product,
+    and after them for its float64 correction.  The last half holds Q^T,
+    (R Q)^T, F and [x Q, x R Q].
+    """
+    n = x.shape[0]
     half = block.shape[0] // 2
-    for start in range(0, x.shape[0], half):
+    stage = block[:half]
+    low = e.reshape(-1).view(np.float32)[: n * n].reshape(n, n)
+    if t is not None:
+        width = t.shape[0]
+        thin = block[half:]
+        basis = thin[: 2 * width]
+        q, rq = basis[:width], basis[width:]
+        right, spare = thin[2 * width : 4 * width], thin[4 * width :]
+        tq = np.matmul(t, q, out=right[width:])
+    for start in range(0, n, half):
+        rows = slice(start, start + half)
+        staged = stage[: e[rows].shape[0]]
+        if t is None:
+            np.multiply(e[rows], -0.5, out=staged)
+        else:
+            np.matmul(q[:, rows].T, tq, out=staged)
+            np.subtract(e[rows], staged, out=staged)
+            staged *= -0.5
+        low[rows] = staged  # over rows of E before ``rows``, all read
+
+    if t is not None:
+        inner = np.add(tq, rq, out=spare[:width])
+        inner *= 0.75
+        inner -= q
+        np.matmul(0.5 * t, inner, out=right[:width])
+        tq *= 0.375
+        left = spare.reshape(-1)[: 2 * width * min(half, n)]  # over inner, now used
+        left = left.reshape(-1, 2 * width)
+    single = stage.reshape(-1).view(np.float32)
+    for start in range(0, n, half):
         rows = x[start : start + half]
-        xe, xee = block[: rows.shape[0]], block[half : half + rows.shape[0]]
-        np.matmul(rows, e, out=xe)
-        np.matmul(xe, e, out=xee)
-        xe *= -0.5
-        xee *= 0.375
-        rows += xe
-        rows += xee
+        count = rows.size
+        if t is not None:
+            np.matmul(rows, basis.T, out=left[: len(rows)])
+        copy = single[:count].reshape(rows.shape)
+        copy[...] = rows
+        product = single[count : 2 * count].reshape(rows.shape)
+        np.matmul(copy, low, out=product)
+        rows += product
+        if t is not None:
+            correction = stage[: len(rows)]
+            np.matmul(left[: len(rows)], right, out=correction)
+            rows += correction
 
 
 def _polar_factor(params: SystemParams, spectrum: Spectrum):
@@ -383,7 +497,9 @@ def _polar_factor(params: SystemParams, spectrum: Spectrum):
 
     X is made here, not passed in (an argument stays alive until the call
     returns), and every step writes over it.  The iterate x, E and one
-    ``_PRODUCT_ROWS``-row block are held.
+    ``_PRODUCT_ROWS``-row block are held.  An adequate build costs one
+    Gram product and one float32 step product (:func:`_final_in_place`);
+    float32 touches only a remainder of norm <= 1.7e-8.
     """
     atom, _, shifted, gram_rows = _closed_gram(params, spectrum)
     x, raw_norms = _rescaled_matrix(params, spectrum)
@@ -399,12 +515,15 @@ def _polar_factor(params: SystemParams, spectrum: Spectrum):
         np.matmul(x.T, x, out=defect)
         defect.flat[:: defect.shape[0] + 1] -= 1.0
         e = float(np.linalg.norm(defect))
-        if 0.75 * e * e * (1.0 + e / 3.0) < _ROUNDOFF:
-            _second_order_in_place(x, defect, block)
+        if _second_order_final(e):
+            _final_in_place(x, defect, block, None)
             return x, raw_norms, raw_offdiag, steps, 2, closed
         if 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF:
-            _third_order_in_place(x, defect, block)
-            return x, raw_norms, raw_offdiag, steps, 3, closed
+            # ||T||_2 <= ||E||_2 <= e: Q T Q^T passes the third-order bound too
+            t = _split(defect, block)
+            if _second_order_final(np.sqrt(max(e * e - np.vdot(t, t), 0.0))):
+                _final_in_place(x, defect, block, t)
+                return x, raw_norms, raw_offdiag, steps, 3, closed
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
@@ -428,13 +547,16 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     machine precision at any truncation.  The Loewdin factor comes from
     the Newton-Schulz schedule of the module docstring
     (:func:`_polar_factor`) and agrees with its eigendecomposition form to
-    1e-12 per entry.  Unordered roots, or columns that are (nearly)
-    linearly dependent, raise :class:`NumericDomainError`.  The raw
-    defects, step count, final order and how the first iterate was formed
-    are recorded on the result, and the positive atom row is kept.  At most
-    two (N+1)^2 arrays and one ``_PRODUCT_ROWS``-row block are held; the
-    shift max |T - X| rebuilds X in one O(N^2) pass, ``_BLOCK_ROWS`` rows
-    at a time, to the same bits.
+    1e-12 per entry.  An adequate truncation costs one Gram product and one
+    float32 step product, which touches only a remainder of norm <= 1.7e-8;
+    the result repeats to the bit.  Unordered roots, or columns that are
+    (nearly) linearly dependent, raise :class:`NumericDomainError`.  The
+    raw defects, step count, final order (3 for the deflated third-order
+    finish) and how the first iterate was formed are recorded on the
+    result, and the positive atom row is kept.  At most two (N+1)^2 arrays
+    and one ``_PRODUCT_ROWS``-row block are held (a tracemalloc peak of
+    2.186 (N+1)^2 arrays at N = 3000); the shift max |T - X| rebuilds X in
+    one O(N^2) pass, ``_BLOCK_ROWS`` rows at a time, to the same bits.
     """
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
     entries, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(

@@ -209,6 +209,19 @@ def test_cmd_spectrum_matrix_dump(tmp_path):
     assert np.all(entries[0] > 0)
 
 
+def test_cmd_spectrum_matrix_dump_repeats_byte_for_byte(tmp_path):
+    # at its defaults (N = 300) the build ends on the deflated third-order
+    # step; a fixed start block makes the repeated file identical
+    p = cli.RunConfig(n_modes=300).make_params()
+    assert dc.build_matrix(p, dc.solve_spectrum(p)).final_step_order == 3
+    written = []
+    for run in ("a", "b"):
+        argv = ["spectrum", "--dump-matrix", "--n-modes", "300"]
+        assert cli.main(argv + ["--out", str(tmp_path / run)]) == 0
+        written.append((tmp_path / run / "matrix.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cmd_evolve_exact(tmp_path):
     rc = cli.main(
         [

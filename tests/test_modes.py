@@ -252,6 +252,153 @@ def test_build_matrix_final_step_sees_the_product_gram():
     assert np.abs(m.entries.T @ m.entries - np.eye(n + 1)).max() <= 4e-15
 
 
+def float64_third_order_in_place(x, e, block):
+    """x <- x (I - E/2 + 3E^2/8) in float64: x E and x E E, a half of
+    ``block`` each, a row block at a time."""
+    half = block.shape[0] // 2
+    for start in range(0, x.shape[0], half):
+        rows = x[start : start + half]
+        xe, xee = block[: rows.shape[0]], block[half : half + rows.shape[0]]
+        np.matmul(rows, e, out=xe)
+        np.matmul(xe, e, out=xee)
+        xe *= -0.5
+        xee *= 0.375
+        rows += xe
+        rows += xee
+
+
+def float64_final_build(params, spectrum):
+    """The Loewdin factor by build_matrix's step schedule with every step,
+    the final one included, a float64 product: the entries with the
+    atom-row signs made positive, the step count and the final order."""
+    modes = dc.modes
+    atom, _, shifted, gram_rows = modes._closed_gram(params, spectrum)
+    x, norms = modes._rescaled_matrix(params, spectrum)
+    e = np.empty_like(x)
+    _, previous, bracket = modes._first_defect(gram_rows, atom / norms, e)
+    block = np.empty((modes._PRODUCT_ROWS, x.shape[1]))
+    if np.abs(bracket).max() <= modes._BRACKET_MAX:
+        modes._first_iterate(params, x, shifted, bracket)
+    else:
+        modes._second_order_in_place(x, e, block)
+    eps = np.finfo(float).eps
+    for steps in range(2, modes._POLAR_MAX_STEPS + 1):
+        np.matmul(x.T, x, out=e)
+        e.flat[:: e.shape[0] + 1] -= 1.0
+        f = float(np.linalg.norm(e))
+        if 0.75 * f * f * (1.0 + f / 3.0) < eps:
+            modes._second_order_in_place(x, e, block)
+            order = 2
+            break
+        if 0.625 * f**3 * (1.0 + 0.375 * f + 0.225 * f * f) < eps:
+            float64_third_order_in_place(x, e, block)
+            order = 3
+            break
+        assert f < previous
+        previous = f
+        modes._second_order_in_place(x, e, block)
+    x[:, x[0] < 0.0] *= -1.0
+    return x, steps, order
+
+
+# (n, g, delta): the eigh grid at delta <= 3, and third-order (delta = 2.26,
+# 0.735) and second-order (delta = 0.03) finishes at N = 1600
+FLOAT64_FINAL_CASES = [
+    (n, g, delta)
+    for n in (1, 5, 30, 300, 1000)
+    for g in (0.05, 0.5, 1.0, 3.0)
+    for delta in (1e-3, 0.1, 3.0)
+] + [(1600, 0.5, 2.26), (1600, 1.03, 0.735), (1600, 1.5, 0.03)]
+
+
+@pytest.mark.parametrize("n, g, delta", FLOAT64_FINAL_CASES)
+def test_build_matrix_float32_finish_matches_the_float64_one(n, g, delta):
+    # the final step's product is float32; it touches only E (or, after
+    # Q T Q^T is split off, R) of Frobenius norm <= 1.7e-8, so
+    # the entries move from the all-float64 finish by roundoff: up to
+    # 2.9e-15 here.  A float32 non-final step misses by up to 4e-9, and a
+    # float32 third-order finish without the deflation by up to 3e-13.
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    m = dc.build_matrix(p, spec)
+    entries, steps, order = float64_final_build(p, spec)
+    assert (m.newton_schulz_steps, m.final_step_order) == (steps, order)
+    assert np.abs(m.entries - entries).max() <= 5e-15
+    assert np.abs(m.entries.T @ m.entries - np.eye(n + 1)).max() <= 5e-15
+
+
+# (n, g, delta, steps, final order) of the all-float64 finish: the four
+# jobs each of the cavity_build benchmark's seeds 1-8, in that order
+BENCHMARK_BUILD_STEPS = [
+    (800, 0.510639462230231, 2.261589733525132, 3, 2),
+    (1000, 0.9037845024235195, 0.059216715829496135, 2, 2),
+    (1200, 0.7949323344383975, 0.10318958791499387, 2, 2),
+    (1600, 1.0275591132430684, 0.7354333789529303, 2, 3),
+    (800, 0.2854509208243847, 0.054878060697007985, 2, 2),
+    (1000, 0.13272434792158722, 0.30656443327175653, 2, 3),
+    (1200, 0.21911096602994307, 0.013696351171495294, 2, 2),
+    (1600, 1.6574330148755925, 0.24705874107274295, 2, 2),
+    (800, 0.1270842504292619, 0.038601869592292684, 2, 2),
+    (1000, 0.573945832457931, 0.017106771734231887, 2, 2),
+    (1200, 0.48114616832675056, 0.024870966392522228, 2, 2),
+    (1600, 1.1136720199214034, 0.09313644696122836, 2, 2),
+    (800, 0.8987504950151308, 0.1847652734920441, 2, 3),
+    (1000, 0.12275242150604196, 0.3195170520390127, 2, 3),
+    (1200, 0.7717110862872265, 0.027059923401738035, 2, 2),
+    (1600, 1.5439414007634982, 1.7174976452269206, 2, 3),
+    (800, 0.7745026313708422, 1.0031532922702118, 2, 3),
+    (1000, 0.3072212420793274, 0.013601690521716878, 2, 2),
+    (1200, 0.41762588487799873, 0.012946493127556717, 2, 2),
+    (1600, 1.9991761150650715, 0.41304502181432123, 2, 3),
+    (800, 0.5343479163247489, 0.0708473430443622, 2, 2),
+    (1000, 0.38704708902909407, 2.7926787027167683, 3, 2),
+    (1200, 0.6568915374540442, 0.06566886174490838, 2, 2),
+    (1600, 1.12297237488719, 0.013431965883237319, 2, 2),
+    (800, 0.6125859199442003, 1.669196157951013, 2, 3),
+    (1000, 0.25268647099153263, 0.05540491389876133, 2, 2),
+    (1200, 0.05473877410901726, 1.0821373080724839, 2, 3),
+    (1600, 1.4679349528437209, 0.05631810917159013, 2, 2),
+    (800, 0.3442750489450046, 2.790001603813519, 3, 2),
+    (1000, 0.7596940422380261, 1.4283647981602527, 2, 3),
+    (1200, 0.4440936858105189, 0.08381933877894025, 2, 2),
+    (1600, 1.4789654541627169, 0.039614896760732196, 2, 2),
+]
+
+# the same on N in {30, 300, 1000} x g in {0.05, 0.5, 1.5} x delta in
+# {1e-3, 0.1, 1, 3}: only N = 30, delta = 3 depends on g
+GRID_BUILD_STEPS = [
+    (n, g, delta, steps, order)
+    for n, delta, steps, order in [
+        (30, 1e-3, 2, 2), (30, 0.1, 2, 3), (30, 1.0, 3, 3),
+        (300, 1e-3, 2, 2), (300, 0.1, 2, 3), (300, 1.0, 3, 2), (300, 3.0, 3, 2),
+        (1000, 1e-3, 2, 2), (1000, 0.1, 2, 2), (1000, 1.0, 2, 3), (1000, 3.0, 3, 2),
+    ]
+    for g in (0.05, 0.5, 1.5)
+] + [(30, 0.05, 3.0, 6, 3), (30, 0.5, 3.0, 4, 2), (30, 1.5, 3.0, 4, 2)]
+
+
+@pytest.mark.parametrize(
+    "n, g, delta, steps, order", BENCHMARK_BUILD_STEPS + GRID_BUILD_STEPS
+)
+def test_build_matrix_takes_the_float64_finish_steps(n, g, delta, steps, order):
+    # a deflated third-order finish whose remainder failed the second-order
+    # bound would take one more step here
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    m = dc.build_matrix(p, dc.solve_spectrum(p))
+    assert (m.newton_schulz_steps, m.final_step_order) == (steps, order)
+
+
+@pytest.mark.parametrize("delta, order", [(0.05, 2), (1.0, 3)])
+def test_build_matrix_is_bitwise_repeatable(delta, order):
+    # the subspace iteration starts from a fixed block, so a repeated build
+    # gives the same bits: the CLI's repeated runs write identical files
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=400)
+    spec = dc.solve_spectrum(p)
+    first, second = dc.build_matrix(p, spec), dc.build_matrix(p, spec)
+    assert first.final_step_order == order
+    assert np.array_equal(first.entries, second.entries)
+
+
 @pytest.mark.parametrize("n", [10, 20, 40, 80])
 def test_build_matrix_rejects_linearly_dependent_columns(n):
     # two equal roots give two identical columns: no orthonormal repair
@@ -289,13 +436,15 @@ def test_build_matrix_refuses_nearly_dependent_columns(nudge, message):
 
 
 @pytest.mark.parametrize(
-    "g, delta", [(0.5, 1e-3), (0.5, 0.1), (0.5, 3.0), (0.5, 1000.0), (0.05, 1000.0)]
+    "g, delta",
+    [(0.5, 1e-3), (0.5, 0.1), (0.5, 3.0), (0.5, 1000.0), (0.05, 1000.0), (0.5, 1.0)],
 )
 def test_build_matrix_peak_memory_is_two_matrices_and_a_block(g, delta):
     # the iterate, E and one block of step-product rows, whether the build
-    # ends with a second-order step (delta = 1e-3, 0.1), a third-order one
-    # (delta = 3), takes a dozen steps (delta = 1000) or forms its first
-    # iterate by a product (g = 0.05, delta = 1000).  The slack of 64
+    # ends with a second-order step (delta = 1e-3, 0.1, 3), a deflated
+    # third-order one after two steps (delta = 1) or after a dozen
+    # (delta = 1000), or forms its first iterate by a product (g = 0.05,
+    # delta = 1000).  The slack of 64
     # length-(N+1) vectors covers the 33-row block of the column norms'
     # squares, the 32-row blocks of E_0, X_1 and the shift (held at
     # different times) and the spectrum-sized arrays.
