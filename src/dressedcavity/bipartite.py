@@ -28,9 +28,9 @@ from .errors import (
     PhysicalityError,
     ValidationError,
 )
-from .evolution import _checked_times, amplitude_row
+from .evolution import amplitude_row
 from .modes import ModeMatrix, build_matrix
-from .params import SystemParams
+from .params import SystemParams, _checked_times
 from .spectrum import Spectrum, solve_spectrum
 
 _AMPLITUDE_SLACK = 1e-6   # |f| may exceed 1 by at most this much

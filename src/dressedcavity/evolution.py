@@ -45,8 +45,9 @@ check of the identity (``cli selftest``, ``unitarity_defect``).
 Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 One check each refuses a row or matrix whose columns do not pair with the
 roots (``_check_pair``, :class:`ConsistencyError`), a mu outside 0..N
-(``_checked_mu``, :class:`ValidationError`) and a t that is not finite
-(``_checked_times``, :class:`ApproximationDomainError`).
+(``_checked_mu``, :class:`ValidationError`), and ``params._checked_times``
+refuses a grid of more than one axis (:class:`ValidationError`) and a t
+that is not finite (:class:`ApproximationDomainError`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import ApproximationDomainError, ConsistencyError, ValidationError
 from .modes import ModeMatrix, small_cavity_elements
-from .params import SystemParams
+from .params import SystemParams, _checked_times
 from .spectrum import (
     Spectrum,
     approx_spectrum_small_cavity,
@@ -78,14 +79,6 @@ def _check_pair(columns: np.ndarray, omegas: np.ndarray, ndim: int) -> None:
             f"mode array of shape {columns.shape} does not pair with "
             f"{omegas.size} roots"
         )
-
-
-def _checked_times(t) -> np.ndarray:
-    """``t``, a scalar or a grid of finite times, as a float array."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.isfinite(times).all():
-        raise ApproximationDomainError("t must be finite")
-    return times
 
 
 def _phases(omegas: np.ndarray, times: np.ndarray) -> np.ndarray:

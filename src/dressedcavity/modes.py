@@ -7,12 +7,13 @@ roots of a ``spectrum.Spectrum``; the first-order small-cavity atom row,
 ``spectrum.approx_spectrum_small_cavity`` instead.  The closed
 expressions for the entries are exact only in the untruncated theory; at
 finite N the assembled columns come out short of unit norm by O(1/N) and
-acquire O(1/N) mutual overlaps.  :func:`build_matrix` therefore rescales
-every column to unit norm and then applies a symmetric (Loewdin)
-orthogonalization, which is the minimal-change correction restoring the
-exact orthonormality the evolution stage relies on.  The Loewdin factor
-X (X^T X)^(-1/2) is the orthogonal polar factor of the rescaled matrix X,
-computed by Newton-Schulz steps with E = X^T X - I.  The step schedule:
+acquire O(1/N) mutual overlaps.  :func:`build_matrix` therefore scales
+every column to unit norm, by its closed-form norm sqrt(G_rr) (below),
+and then applies a symmetric (Loewdin) orthogonalization, which is the
+minimal-change correction restoring the exact orthonormality the
+evolution stage relies on.  The Loewdin factor X (X^T X)^(-1/2) is the
+orthogonal polar factor of the rescaled matrix X, computed by
+Newton-Schulz steps with E = X^T X - I.  The step schedule:
 
 1. The first E is the closed-form Gram (below), and the first iterate
    X (I - E_0/2) is in closed form too (below) while max |bracket| stays
@@ -73,8 +74,12 @@ S(x) - N = x sum_k 1/(omega_k^2 - x), which drops the constant N and
 with it its roundoff.  :func:`raw_defects` forms S, S' and then G a block
 of rows at a time: each block is O(N) memory, the whole pass O(N^2)
 time, against the (N+1)^2 arrays and O(N^3) products of the matrix
-route.  :func:`build_matrix` takes its first E from the same blocks, and
-every later one from a product, which the tests hold the closed form to.
+route.  The same G_rr are the only raw column norms computed (within
+1e-14 relative of the assembled columns' norms in the tests):
+:func:`build_matrix` and :func:`atom_row` assemble X once, from the scaled
+atom row u = a/sqrt(G_rr).  :func:`build_matrix` takes its first E from
+the same blocks, and every later one from a product, which the tests hold
+the closed form to.
 
 The first Newton-Schulz iterate X_1 = X (I - E_0/2) is Cauchy-like too.
 With u = X[0, :], w = u^2, y_k = omega_k^2, and field entries
@@ -111,7 +116,7 @@ from .errors import (
     NumericDomainError,
     ValidationError,
 )
-from .params import SystemParams
+from .params import SystemParams, _checked_times
 from .spectrum import Spectrum
 
 #: |omega_k^2 - Omega_r^2| below this multiple of delta_omega^2 means a
@@ -125,8 +130,8 @@ _POLAR_MAX_STEPS = 50
 
 _ROUNDOFF = float(np.finfo(float).eps)
 
-#: rows per block of the O(N^2) passes: the column norms' squares, the
-#: closed-form Gram matrix, the first iterate and the shift's rebuilt X
+#: rows per block of the O(N^2) passes: the closed-form sums and Gram
+#: matrix, the first iterate and the shift's rebuilt X
 _BLOCK_ROWS = 32
 
 #: rows per block of the Newton-Schulz step products, written over the iterate
@@ -152,7 +157,7 @@ class ModeMatrix:
     """(N+1) x (N+1) transformation matrix with truncation diagnostics."""
 
     entries: np.ndarray               # rows: atom, field 1..N; cols: modes 0..N
-    raw_column_norms: np.ndarray      # column norms before any correction
+    raw_column_norms: np.ndarray      # closed-form raw column norms sqrt(G_rr)
     raw_orthogonality_defect: float   # max |column dot| off the diagonal, raw
     orthogonalization_shift: float    # max |entry change| due to Loewdin step
     newton_schulz_steps: int          # Loewdin steps taken, the final one included
@@ -195,8 +200,14 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     (:func:`_nearest_resonance`).
     """
     _check_columns(params, spectrum)
+    return _assemble(params, spectrum, atom_element(params, spectrum.omegas))
+
+
+def _assemble(params: SystemParams, spectrum: Spectrum, atom_row) -> np.ndarray:
+    """The matrix with row 0 ``atom_row`` and the field rows of
+    :func:`_field_rows` on it, filled in place."""
     t = np.empty((params.n_modes + 1, params.n_modes + 1))
-    t[0, :] = atom_element(params, spectrum.omegas)
+    t[0, :] = atom_row
     _field_rows(params, params.field_frequencies(), spectrum.omegas, t[0], t[1:])
     return t
 
@@ -254,32 +265,18 @@ def _nearest_resonance(field_sq: np.ndarray, roots_sq: np.ndarray) -> float:
     return float(min(below, above))
 
 
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=0)`` to the bit, without an (N+1)^2 temporary.
+def _rescaled_matrix(params: SystemParams, spectrum: Spectrum):
+    """X, the raw matrix with every column scaled to unit norm, with the raw
+    column norms and the ``shifted`` sums and ``gram_rows`` of
+    :func:`_closed_gram`, whose checks are the only ones made.
 
-    That norm adds the squares of each column in row order.  Here they are
-    added ``_BLOCK_ROWS`` rows at a time, with the running sums carried in
-    as the first row of each block, so the additions and their order are
-    the same; contiguous rows also make it faster than the unblocked form.
+    The norms are the closed-form sqrt(G_rr), and X is assembled once from
+    the scaled atom row u = a/sqrt(G_rr), so its field rows are written
+    already scaled and X[0] is u to the bit.
     """
-    squares = np.empty((_BLOCK_ROWS + 1, x.shape[1]))
-    sums = np.zeros(x.shape[1])
-    for start in range(0, x.shape[0], _BLOCK_ROWS):
-        block = x[start : start + _BLOCK_ROWS]
-        squares[0] = sums
-        np.multiply(block, block, out=squares[1 : block.shape[0] + 1])
-        np.add.reduce(squares[: block.shape[0] + 1], axis=0, out=sums)
-    return np.sqrt(sums)
-
-
-def _rescaled_matrix(
-    params: SystemParams, spectrum: Spectrum
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw matrix with every column scaled to unit norm, and the raw norms."""
-    rescaled = assemble_raw_matrix(params, spectrum)
-    raw_norms = _column_norms(rescaled)
-    rescaled /= raw_norms
-    return rescaled, raw_norms
+    atom, norm_sq, shifted, gram_rows = _closed_gram(params, spectrum)
+    raw_norms = np.sqrt(norm_sq)
+    return _assemble(params, spectrum, atom / raw_norms), raw_norms, shifted, gram_rows
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -288,7 +285,8 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _closed_gram(params: SystemParams, spectrum: Spectrum):
-    """The atom row a, the raw column norms' squares G_rr and ``gram_rows``.
+    """The atom row a, the raw column norms' squares G_rr, the sums S - N
+    and ``gram_rows``.
 
     ``gram_rows(scale, out=None)`` yields ``(rows, diagonal, block)``: each
     ``_BLOCK_ROWS`` rows of scale_r scale_s G_rs / (a_r a_s) (module
@@ -491,20 +489,22 @@ def _final_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray, t) -> None:
 
 def _polar_factor(params: SystemParams, spectrum: Spectrum):
     """Orthogonal polar factor of the rescaled matrix X by the Newton-Schulz
-    schedule of the module docstring, with X's raw column norms, largest
-    off-diagonal Gram entry, step count, final step's order and whether the
-    first iterate was closed form.
+    schedule of the module docstring, with X's atom row u, the raw column
+    norms it is scaled by, its largest off-diagonal Gram entry, the step
+    count, the final step's order and whether the first iterate was closed
+    form.
 
     X is made here, not passed in (an argument stays alive until the call
-    returns), and every step writes over it.  The iterate x, E and one
-    ``_PRODUCT_ROWS``-row block are held.  An adequate build costs one
-    Gram product and one float32 step product (:func:`_final_in_place`);
-    float32 touches only a remainder of norm <= 1.7e-8.
+    returns), scaled by the closed-form norms that also give E_0, and every
+    step writes over it.  The iterate x, E and one ``_PRODUCT_ROWS``-row
+    block are held.  An adequate build costs one Gram product and one
+    float32 step product (:func:`_final_in_place`); float32 touches only a
+    remainder of norm <= 1.7e-8.
     """
-    atom, _, shifted, gram_rows = _closed_gram(params, spectrum)
-    x, raw_norms = _rescaled_matrix(params, spectrum)
+    x, raw_norms, shifted, gram_rows = _rescaled_matrix(params, spectrum)
+    u = x[0].copy()
     defect = np.empty_like(x)
-    raw_offdiag, previous, bracket = _first_defect(gram_rows, atom / raw_norms, defect)
+    raw_offdiag, previous, bracket = _first_defect(gram_rows, u, defect)
     closed = bool(_max_abs(bracket) <= _BRACKET_MAX)
     block = np.empty((_PRODUCT_ROWS, x.shape[1]))
     if closed:
@@ -517,13 +517,13 @@ def _polar_factor(params: SystemParams, spectrum: Spectrum):
         e = float(np.linalg.norm(defect))
         if _second_order_final(e):
             _final_in_place(x, defect, block, None)
-            return x, raw_norms, raw_offdiag, steps, 2, closed
+            return x, u, raw_norms, raw_offdiag, steps, 2, closed
         if 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF:
             # ||T||_2 <= ||E||_2 <= e: Q T Q^T passes the third-order bound too
             t = _split(defect, block)
             if _second_order_final(np.sqrt(max(e * e - np.vdot(t, t), 0.0))):
                 _final_in_place(x, defect, block, t)
-                return x, raw_norms, raw_offdiag, steps, 3, closed
+                return x, u, raw_norms, raw_offdiag, steps, 3, closed
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
@@ -559,20 +559,18 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     one O(N^2) pass, ``_BLOCK_ROWS`` rows at a time, to the same bits.
     """
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
-    entries, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(
+    entries, u, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(
         params, spectrum
     )
 
-    # the shift max |T - X|, with X rebuilt a block of rows at a time
+    # the shift max |T - X|, with X rebuilt from u a block of rows at a time
     omegas, omega_k = spectrum.omegas, params.field_frequencies()
-    atom_row = atom_element(params, omegas)
-    shift = _max_abs(entries[0] - atom_row / raw_norms)
+    shift = _max_abs(entries[0] - u)
     block = np.empty((_BLOCK_ROWS, omegas.size))
     for start in range(0, omega_k.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         field = entries[1:][rows]
-        x = _field_rows(params, omega_k[rows], omegas, atom_row, block[: len(field)])
-        x /= raw_norms
+        x = _field_rows(params, omega_k[rows], omegas, u, block[: len(field)])
         shift = max(shift, _max_abs(np.subtract(field, x, out=x)))
 
     flip = entries[0, :] < 0.0
@@ -610,8 +608,7 @@ def atom_row(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     Ritz value raise :class:`NumericDomainError`.  The signs follow the
     positive atom-row convention of :func:`build_matrix`.
     """
-    _check_increasing(spectrum)
-    x, _ = _rescaled_matrix(params, spectrum)
+    x = _rescaled_matrix(params, spectrum)[0]
     n = x.shape[0]
     norm_u = float(np.linalg.norm(x[0]))
     basis = np.empty((min(n, 32), n))  # rows q_1..q_m, doubled when full
@@ -666,11 +663,11 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
 
     ``column_norm`` is max |1 - n_r^2| and ``orthogonality`` the largest
     |off-diagonal entry| of the rescaled Gram, both with the closed-form
-    norms n_r^2 = G_rr.  ``build_matrix`` rescales by the norms of the
-    assembled columns instead, so its ``raw_column_norms`` and
-    ``raw_orthogonality_defect`` differ from these by roundoff: up to
-    3.0e-15 and 4.4e-16 over 51 builds (N 1-3000, g 0.05-3, delta
-    1e-3-1000).  ``unitarity`` is the largest
+    norms n_r^2 = G_rr, which ``build_matrix`` rescales by too: its
+    ``raw_orthogonality_defect`` is ``orthogonality`` to the bit.  Those
+    norms are within 8.4e-15 relative of ``np.linalg.norm`` of the
+    assembled raw columns over N 1-1000, g 0.05-3, delta 1e-3-1000.
+    ``unitarity`` is the largest
     |1 - sum_nu |f_0_nu(t)|^2| over ``times`` with the column-rescaled,
     unrepaired matrix X.  With c the rescaled atom row and
     w_t = c * exp(-i Omega t), that sum is w_t^H G w_t for the Gram
@@ -678,14 +675,12 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     ``_BLOCK_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
     time, O(N) memory.  The preconditions are those of
     :func:`assemble_raw_matrix`, and roots that do not increase strictly
-    raise :class:`NumericDomainError` as in :func:`atom_row`.  An empty grid
-    and a t that is not finite are refused first.
+    raise :class:`NumericDomainError` as in :func:`atom_row`.  An empty grid,
+    one of more than one axis and a t that is not finite are refused first.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _checked_times(times)
     if times.size == 0:
         raise ValidationError("times must hold at least one time")
-    if not np.isfinite(times).all():
-        raise ApproximationDomainError("t must be finite")
     atom, norm_sq, _, gram_rows = _closed_gram(params, spectrum)
     scale = atom / np.sqrt(norm_sq)
 

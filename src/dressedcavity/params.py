@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ApproximationDomainError, ValidationError
 
 REGIME_WEAK = "weak"      # g < omega_bar, kappa real
 REGIME_STRONG = "strong"  # g >= omega_bar, no damped-oscillation closed form
@@ -46,6 +46,23 @@ class SystemParams:
     def field_frequencies(self) -> np.ndarray:
         """Bare cavity frequencies k*delta_omega for k = 1..n_modes."""
         return self.delta_omega * np.arange(1, self.n_modes + 1, dtype=float)
+
+
+def _checked_times(t) -> np.ndarray:
+    """``t``, a scalar or a one-axis grid of finite times, as a float array.
+
+    A grid of more than one axis raises :class:`ValidationError`, and a t
+    that is not finite :class:`ApproximationDomainError`.  An empty grid
+    passes: each caller decides what it means.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim > 1:
+        raise ValidationError(
+            f"times must be a scalar or a grid of one axis, got shape {times.shape}"
+        )
+    if not np.isfinite(times).all():
+        raise ApproximationDomainError("t must be finite")
+    return times
 
 
 def _require_positive(name: str, value: float) -> float:

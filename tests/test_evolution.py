@@ -199,6 +199,52 @@ def test_a_time_that_is_not_finite_is_refused(
             call()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "atom_amplitude",
+        "survival_probability",
+        "small_cavity_amplitude_first_order",
+        "raw_defects",
+        "entropy_time_independence_check",
+        "row_norms",
+    ],
+)
+def test_a_grid_of_two_axes_is_refused(
+    entry, small_params, small_matrix, small_spectrum
+):
+    """Each cavity entry point takes a scalar or a grid of one axis; a
+    (2, 3) grid is refused by the one time check, not flattened or left to
+    a numpy error."""
+    t = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+    calls = {
+        "atom_amplitude": lambda: dc.atom_amplitude(
+            small_matrix.entries[0], small_spectrum, t
+        ),
+        "survival_probability": lambda: dc.survival_probability(
+            small_matrix, small_spectrum, t
+        ),
+        "small_cavity_amplitude_first_order": lambda: (
+            dc.small_cavity_amplitude_first_order(small_params, t, 100)
+        ),
+        "raw_defects": lambda: dc.raw_defects(small_params, small_spectrum, t),
+        "entropy_time_independence_check": lambda: (
+            dc.entropy_time_independence_check(
+                small_params,
+                dc.EntangledStateConfig(xi=0.3),
+                t,
+                small_matrix,
+                small_spectrum,
+            )
+        ),
+        "row_norms": lambda: dc.row_norms(
+            small_matrix.entries, small_spectrum.omegas, 0, t
+        ),
+    }
+    with pytest.raises(ValidationError, match=r"one axis, got shape \(2, 3\)"):
+        calls[entry]()
+
+
 def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectrum):
     with pytest.raises(ConsistencyError):
         dc.amplitude_row(small_matrix, baseline_spectrum, 0, 1.0)

@@ -155,10 +155,9 @@ def test_build_matrix_matches_eigh_loewdin(n, g, delta):
 def closed_first_defect(params, spectrum):
     """The rescaled X, the closed-form E_0, its ||E_0||_F, the shifted sums
     S - N and the bracket (E_0 u)_r / u_r, as build_matrix takes them."""
-    atom, _, shifted, gram_rows = dc.modes._closed_gram(params, spectrum)
-    x, norms = dc.modes._rescaled_matrix(params, spectrum)
+    x, _, shifted, gram_rows = dc.modes._rescaled_matrix(params, spectrum)
     e0 = np.empty_like(x)
-    _, frobenius, bracket = dc.modes._first_defect(gram_rows, atom / norms, e0)
+    _, frobenius, bracket = dc.modes._first_defect(gram_rows, x[0], e0)
     return x, e0, frobenius, shifted, bracket
 
 
@@ -272,10 +271,9 @@ def float64_final_build(params, spectrum):
     the final one included, a float64 product: the entries with the
     atom-row signs made positive, the step count and the final order."""
     modes = dc.modes
-    atom, _, shifted, gram_rows = modes._closed_gram(params, spectrum)
-    x, norms = modes._rescaled_matrix(params, spectrum)
+    x, _, shifted, gram_rows = modes._rescaled_matrix(params, spectrum)
     e = np.empty_like(x)
-    _, previous, bracket = modes._first_defect(gram_rows, atom / norms, e)
+    _, previous, bracket = modes._first_defect(gram_rows, x[0], e)
     block = np.empty((modes._PRODUCT_ROWS, x.shape[1]))
     if np.abs(bracket).max() <= modes._BRACKET_MAX:
         modes._first_iterate(params, x, shifted, bracket)
@@ -444,10 +442,9 @@ def test_build_matrix_peak_memory_is_two_matrices_and_a_block(g, delta):
     # ends with a second-order step (delta = 1e-3, 0.1, 3), a deflated
     # third-order one after two steps (delta = 1) or after a dozen
     # (delta = 1000), or forms its first iterate by a product (g = 0.05,
-    # delta = 1000).  The slack of 64
-    # length-(N+1) vectors covers the 33-row block of the column norms'
-    # squares, the 32-row blocks of E_0, X_1 and the shift (held at
-    # different times) and the spectrum-sized arrays.
+    # delta = 1000).  The slack of 64 length-(N+1) vectors covers the
+    # 32-row blocks of the closed-form sums, E_0, X_1 and the shift (held
+    # at different times) and the spectrum-sized arrays.
     n = 1000
     p = dc.make_params(1.0, g, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
@@ -471,7 +468,7 @@ def test_orthogonalization_shift_is_the_dense_max_to_the_bit(n, delta):
     p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
     m = dc.build_matrix(p, spec)
-    x, _ = dc.modes._rescaled_matrix(p, spec)
+    x = dc.modes._rescaled_matrix(p, spec)[0]
     sign = np.sign((m.entries * x).sum(axis=0))  # -1 on a flipped column
     assert m.orthogonalization_shift == np.abs(m.entries * sign - x).max()
 
@@ -524,18 +521,34 @@ def test_nearest_resonance_is_the_minimum_over_the_whole_table(n):
     assert np.isnan(dc.modes._nearest_resonance(field_sq, roots_sq))
 
 
-@pytest.mark.parametrize("n", [1, 30, 31, 32, 300, 1600])
-def test_column_norms_are_bitwise_the_unblocked_norm(n):
-    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
+# (n, g, delta): the raw column norms and defects of build_matrix
+RAW_NORM_CASES = [
+    (n, g, delta)
+    for n in (1, 5, 30, 300, 1000)
+    for g in (0.05, 0.5, 1.5, 3.0)
+    for delta in (1e-3, 0.1, 3.0, 1000.0)
+]
+
+
+@pytest.mark.parametrize("n, g, delta", RAW_NORM_CASES)
+def test_raw_column_norms_match_the_assembled_columns(n, g, delta):
+    # the closed-form norms sqrt(G_rr) against the norms of the assembled
+    # raw columns: up to 8.4e-15 relative over this grid
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
-    x = dc.assemble_raw_matrix(p, spec)
-    reference = np.linalg.norm(x, axis=0)
-    assert np.array_equal(dc.modes._column_norms(x), reference)
-    assert np.array_equal(dc.build_matrix(p, spec).raw_column_norms, reference)
-    wide = np.random.default_rng(n).standard_normal((n + 1, 3 * n + 2))
-    assert np.array_equal(
-        dc.modes._column_norms(wide), np.linalg.norm(wide, axis=0)
-    )
+    reference = np.linalg.norm(dc.assemble_raw_matrix(p, spec), axis=0)
+    norms = dc.build_matrix(p, spec).raw_column_norms
+    assert np.abs(norms / reference - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, g, delta", RAW_NORM_CASES)
+def test_raw_orthogonality_defect_is_raw_defects_to_the_bit(n, g, delta):
+    # build_matrix and raw_defects scale the columns by the same norms and
+    # take the same closed-form Gram blocks
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    defect = dc.build_matrix(p, spec).raw_orthogonality_defect
+    assert defect == dc.raw_defects(p, spec, (0.0,)).orthogonality
 
 
 @pytest.mark.parametrize("delta", [1e-3, 0.1, 3.0, 1000.0])
@@ -572,9 +585,9 @@ def test_atom_row_rejects_mismatched_spectrum(small_params, baseline_spectrum):
 
 def test_atom_row_peak_memory_is_one_matrix():
     # X alone; build_matrix holds two and a block.  The slack of 64
-    # length-(N+1) vectors covers the 32-row Lanczos basis, the 33-row
-    # block of the column norms' squares (held at different times) and
-    # the spectrum-sized arrays.
+    # length-(N+1) vectors covers the 32-row Lanczos basis, the 32-row
+    # block of the closed-form sums (held at different times) and the
+    # spectrum-sized arrays.
     n = 3000
     p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=n)
     spec = dc.solve_spectrum(p)
@@ -632,10 +645,9 @@ def test_closed_form_gram_matches_the_product(n, g, delta):
     # x^T x - I; the worst case, 6.3e-14, is the last (root rounding)
     p = dc.make_params(1.0, g, delta=delta, n_modes=n)
     spec = dc.solve_spectrum(p)
-    atom, _, _, gram_rows = dc.modes._closed_gram(p, spec)
-    x, norms = dc.modes._rescaled_matrix(p, spec)
+    x, _, _, gram_rows = dc.modes._rescaled_matrix(p, spec)
     closed = np.empty_like(x)
-    for _ in gram_rows(atom / norms, closed):
+    for _ in gram_rows(x[0], closed):
         pass
     product = x.T @ x - np.eye(n + 1)
     assert np.abs(closed - product).max() <= 1e-13
