@@ -231,10 +231,11 @@ def entropy_time_independence_check(
     truncated basis, an (N+2)^2 eigensolve per time point, and nothing
     about the known rank-2 structure is assumed.  Production entropies
     come from ``rank_two_entropy``; the CLI selftest runs this check at
-    N <= 100 only.  Deviations are reported, never raised; an empty grid
-    and a time that is not finite are refused before any work.
+    N <= 100 only.  Deviations are reported, never raised.  ``time_grid``
+    goes to ``params._checked_times`` as it is (a scalar is a one-point
+    grid); what that check refuses, and an empty grid, fail before any work.
     """
-    times = _checked_times(list(time_grid))
+    times = _checked_times(time_grid)
     if times.size == 0:
         raise ValidationError("time_grid must hold at least one time")
     if spectrum is None:
@@ -245,7 +246,7 @@ def entropy_time_independence_check(
     entropies = np.empty(times.size)
     eig_defect = 0.0
     for i, t in enumerate(times):
-        row = amplitude_row(matrix, spectrum, 0, float(t))
+        row = amplitude_row(matrix, spectrum, 0, t)
         rho = single_atom_reduced_density(row, config)
         eig = np.linalg.eigvalsh(rho)
         entropies[i] = von_neumann_entropy(eig)

@@ -46,8 +46,8 @@ Index convention: mu = 0 is the atom, mu = 1..N the dressed field modes.
 One check each refuses a row or matrix whose columns do not pair with the
 roots (``_check_pair``, :class:`ConsistencyError`), a mu outside 0..N
 (``_checked_mu``, :class:`ValidationError`), and ``params._checked_times``
-refuses a grid of more than one axis (:class:`ValidationError`) and a t
-that is not finite (:class:`ApproximationDomainError`).
+a time argument that is not real or has two axes (:class:`ValidationError`)
+or is not finite (:class:`ApproximationDomainError`).
 """
 
 from __future__ import annotations
@@ -141,12 +141,15 @@ def _row_parts(entries: np.ndarray, omegas: np.ndarray, mu: int, times: np.ndarr
 def amplitude_row(
     matrix: ModeMatrix, spectrum: Spectrum, mu: int, t: float
 ) -> np.ndarray:
-    """All amplitudes f_mu_nu(t) for nu = 0..N as a complex vector.
+    """All amplitudes f_mu_nu(t) for nu = 0..N as a complex vector, at
+    exactly one time t: a t with an axis raises :class:`ValidationError`.
 
     Negative t is accepted: f_mu_nu(-t) = conj(f_mu_nu(t)).
     """
     _check_pair(matrix.entries, spectrum.omegas, 2)
-    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, _checked_times(float(t)))
+    if np.ndim(t) > 0:
+        raise ValidationError(f"amplitude_row takes one time, got shape {np.shape(t)}")
+    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, _checked_times(t))
     return re[:, 0] + 1j * im[:, 0]
 
 

@@ -6,9 +6,9 @@ When the cavity radius grows without bound the mode sum for f_00 becomes
 
 with w the renormalized atom frequency.  It is evaluated in two
 independent ways, and the large-time survival has an asymptotic form.
-All three take t as a scalar or a grid, and one check
-(``_checked_times``) refuses, before anything is computed, any t that is
-not finite and >= 0, or > 0 for the asymptotic form.
+All three take t as a scalar or a grid of one axis, which
+``params._checked_times`` checks; before anything is computed, the
+free-space domain refuses any t < 0, or t <= 0 for the asymptotic form.
 
 Quadrature, any coupling, one rule for every t >= 0, one time of a grid
 at a time, one complex integral int_0^inf f(x) e^{-ixt} dx per
@@ -62,7 +62,7 @@ import math
 import numpy as np
 
 from .errors import ApproximationDomainError, QuadratureError, RegimeError
-from .params import REGIME_WEAK, SystemParams
+from .params import REGIME_WEAK, SystemParams, _checked_times as _finite_times
 
 #: default absolute accuracy of the semi-infinite quadratures
 DEFAULT_TOL = 1e-8
@@ -292,18 +292,13 @@ def _fourier_semi_infinite(
 
 
 def _checked_times(t, positive: bool = False) -> np.ndarray:
-    """``t``, a scalar or a grid, as a float array of at least one axis.
-
-    Raises :class:`ApproximationDomainError` unless every t is finite and
-    >= 0, or > 0 with ``positive``.
-    """
-    times = np.array(t, dtype=float, ndmin=1)
-    low = times > 0.0 if positive else times >= 0.0
-    if np.count_nonzero(low & (times < np.inf)) < times.size:  # NaN fails both
+    """The times of ``params._checked_times``, refused with
+    :class:`ApproximationDomainError` unless every t is >= 0, or > 0 with
+    ``positive``: the free-space domain."""
+    times = _finite_times(t)
+    if np.count_nonzero(times > 0.0 if positive else times >= 0.0) < times.size:
         raise ApproximationDomainError(
-            "asymptotic form needs t > 0 (finite; it diverges at t = 0)"
-            if positive
-            else "t must be finite and non-negative"
+            "asymptotic form needs t > 0" if positive else "t must be non-negative"
         )
     return times
 
@@ -349,10 +344,10 @@ def _numeric_with_error(
     pref = 4.0 * params.g / np.pi
     values = np.empty(times.shape, dtype=complex)
     errors = np.empty(times.shape)
-    for i, s in enumerate(times.ravel().tolist()):
+    for i, s in enumerate(times.tolist()):
         value, achieved = _fourier_semi_infinite(f, shoulders, s, tol / pref)
-        values.flat[i] = pref * value
-        errors.flat[i] = pref * achieved
+        values[i] = pref * value
+        errors[i] = pref * achieved
     return values, errors
 
 

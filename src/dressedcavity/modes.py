@@ -117,7 +117,7 @@ from .errors import (
     ValidationError,
 )
 from .params import SystemParams, _checked_times
-from .spectrum import Spectrum
+from .spectrum import Spectrum, check_interlacing
 
 #: |omega_k^2 - Omega_r^2| below this multiple of delta_omega^2 means a
 #: root landed on a bare frequency, which interlacing forbids.
@@ -192,11 +192,10 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
 
     Row 0 is :func:`atom_element`; field row k (k = 1..N) is
     eta*omega_k/(omega_k^2 - Omega_r^2) times it.  Interlacing keeps
-    omega_k^2 - Omega_r^2 bounded away from zero, so a near-zero
-    denominator means a root that violates interlacing and raises
-    :class:`NearResonanceError`.  The field rows are filled in place and
-    no other (N+1)^2 array is formed: the resonance check reads each
-    root's distance at its nearest bare frequencies only
+    omega_k^2 - Omega_r^2 bounded away from zero, and roots that do not
+    interlace are refused (:func:`_check_columns`).  The field rows are
+    filled in place and no other (N+1)^2 array is formed: the resonance
+    check reads each root's distance at its nearest bare frequencies only
     (:func:`_nearest_resonance`).
     """
     _check_columns(params, spectrum)
@@ -222,12 +221,15 @@ def _field_rows(params: SystemParams, omega_k, omegas, atom_row, out) -> np.ndar
 
 
 def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
-    """Refuse a spectrum of other parameters, or a root on a bare frequency.
+    """Refuse roots that do not interlace with the bare frequencies of
+    ``params``: the one check of a root set for the closed-form columns.
 
-    The preconditions of the closed-form columns: a spectrum whose size
-    differs from ``params`` raises :class:`ConsistencyError`, and a root
-    within the resonance floor of a bare frequency (interlacing forbids
-    it) raises :class:`NearResonanceError`.
+    A spectrum of another size raises :class:`ConsistencyError`, a root
+    within the resonance floor of a bare frequency
+    :class:`NearResonanceError`, and any other root outside its branch
+    (``spectrum.check_interlacing``) :class:`NumericDomainError`, so no
+    two roots, or columns, are equal.  Only the spacing delta_omega is
+    read: a spectrum of other parameters with the same spacing passes.
     """
     if spectrum.n_modes != params.n_modes:
         raise ConsistencyError(
@@ -240,13 +242,9 @@ def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
         raise NearResonanceError(
             "normal mode coincides with a bare field frequency"
         )
-
-
-def _check_increasing(spectrum: Spectrum) -> None:
-    """Refuse equal or unordered roots, which give identical columns."""
-    if not np.all(np.diff(spectrum.omegas) > 0.0):
+    if not check_interlacing(params, spectrum):
         raise NumericDomainError(
-            "roots must increase strictly: equal roots give identical columns"
+            "roots must interlace with the bare frequencies, one per branch"
         )
 
 
@@ -294,7 +292,6 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
     ``diagonal`` set to 0.  Refuses what :func:`raw_defects` refuses.
     """
     _check_columns(params, spectrum)
-    _check_increasing(spectrum)
     atom = atom_element(params, spectrum.omegas)
     field_sq, roots_sq = params.field_frequencies() ** 2, spectrum.omegas**2
     eta2 = params.eta**2
@@ -549,14 +546,15 @@ def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
     (:func:`_polar_factor`) and agrees with its eigendecomposition form to
     1e-12 per entry.  An adequate truncation costs one Gram product and one
     float32 step product, which touches only a remainder of norm <= 1.7e-8;
-    the result repeats to the bit.  Unordered roots, or columns that are
-    (nearly) linearly dependent, raise :class:`NumericDomainError`.  The
-    raw defects, step count, final order (3 for the deflated third-order
-    finish) and how the first iterate was formed are recorded on the
-    result, and the positive atom row is kept.  At most two (N+1)^2 arrays
-    and one ``_PRODUCT_ROWS``-row block are held (a tracemalloc peak of
-    2.186 (N+1)^2 arrays at N = 3000); the shift max |T - X| rebuilds X in
-    one O(N^2) pass, ``_BLOCK_ROWS`` rows at a time, to the same bits.
+    the result repeats to the bit.  Roots are refused as in
+    :func:`assemble_raw_matrix`, and (nearly) linearly dependent columns
+    raise :class:`NumericDomainError`.  The raw defects, step count, final
+    order (3 for the deflated third-order finish) and how the first
+    iterate was formed are recorded on the result, and the positive atom
+    row is kept.  At most two (N+1)^2 arrays and one ``_PRODUCT_ROWS``-row
+    block are held (a tracemalloc peak of 2.186 (N+1)^2 arrays at
+    N = 3000); the shift max |T - X| rebuilds X in one O(N^2) pass,
+    ``_BLOCK_ROWS`` rows at a time, to the same bits.
     """
     # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
     entries, u, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(
@@ -602,11 +600,11 @@ def atom_row(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     It stops once successive estimates agree to ``_LANCZOS_ULPS`` ulps of
     their largest entry or the Krylov space is exhausted, at most N+1
     steps; the tested grid takes 3-8 for delta <= 3 and up to 27 at
-    delta = 1000.  A Krylov space started from u
-    cannot see the null vector of two identical columns, so equal or
-    non-increasing roots are refused up front; those and a non-positive
-    Ritz value raise :class:`NumericDomainError`.  The signs follow the
-    positive atom-row convention of :func:`build_matrix`.
+    delta = 1000.  A Krylov space started from u cannot see the null
+    vector of two identical columns, so roots are refused up front as in
+    :func:`assemble_raw_matrix`, equal or unordered ones with
+    :class:`NumericDomainError`, as is a non-positive Ritz value.  The
+    signs follow the positive atom-row convention of :func:`build_matrix`.
     """
     x = _rescaled_matrix(params, spectrum)[0]
     n = x.shape[0]
@@ -673,10 +671,9 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     w_t = c * exp(-i Omega t), that sum is w_t^H G w_t for the Gram
     matrix G = X^T X of the module docstring, which is taken here
     ``_BLOCK_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
-    time, O(N) memory.  The preconditions are those of
-    :func:`assemble_raw_matrix`, and roots that do not increase strictly
-    raise :class:`NumericDomainError` as in :func:`atom_row`.  An empty grid,
-    one of more than one axis and a t that is not finite are refused first.
+    time, O(N) memory.  Roots are refused as in
+    :func:`assemble_raw_matrix`, after the time argument: an empty grid and
+    what ``params._checked_times`` refuses are refused first.
     """
     times = _checked_times(times)
     if times.size == 0:

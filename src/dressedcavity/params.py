@@ -49,18 +49,22 @@ class SystemParams:
 
 
 def _checked_times(t) -> np.ndarray:
-    """``t``, a scalar or a one-axis grid of finite times, as a float array.
+    """``t``, a real scalar or a real grid of one axis, as a float array of
+    one axis: the one conversion of every time argument of the library.
 
-    A grid of more than one axis raises :class:`ValidationError`, and a t
-    that is not finite :class:`ApproximationDomainError`.  An empty grid
-    passes: each caller decides what it means.
+    Any other t (complex, ``None``, two axes) raises :class:`ValidationError`
+    before a cast to float could drop an imaginary part, and a t that is
+    not finite :class:`ApproximationDomainError`.  An empty grid passes:
+    each caller decides what it means.
     """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim > 1:
+    times = np.asarray(t)
+    if times.dtype.kind not in "biuf" or times.ndim > 1:
         raise ValidationError(
-            f"times must be a scalar or a grid of one axis, got shape {times.shape}"
+            "times must be a real scalar or a real grid of one axis, got "
+            f"shape {times.shape} of dtype {times.dtype}"
         )
-    if not np.isfinite(times).all():
+    times = np.array(times, dtype=float, ndmin=1)
+    if np.count_nonzero(np.isfinite(times)) < times.size:
         raise ApproximationDomainError("t must be finite")
     return times
 

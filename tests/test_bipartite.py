@@ -251,6 +251,16 @@ def test_entropy_flatness_at_half(baseline_params, baseline_spectrum,
         spectrum=baseline_spectrum,
     )
     assert np.abs(report.entropies - LN2).max() < 1e-9
+    # a scalar is a one-point grid, as at every other grid entry point
+    single = dc.entropy_time_independence_check(
+        baseline_params,
+        dc.EntangledStateConfig(xi=0.5),
+        2.5,
+        matrix=baseline_matrix,
+        spectrum=baseline_spectrum,
+    )
+    assert np.array_equal(single.times, [2.5])
+    assert np.array_equal(single.entropies, report.entropies[1:2])
 
 
 def test_entropy_flatness_refuses_an_empty_grid_before_any_work(

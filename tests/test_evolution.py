@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dressedcavity as dc
-from dressedcavity import evolution
+from dressedcavity import evolution, freespace
 from dressedcavity.errors import (
     ApproximationDomainError,
     ConsistencyError,
@@ -40,7 +40,7 @@ def test_amplitude_row_matches_the_complex_product(
             assert row.dtype == complex and row.shape == direct.shape
             assert np.abs(row - direct).max() <= 1e-14
     # one time per call: a grid is refused, not read at its first time
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match="takes one time"):
         dc.amplitude_row(baseline_matrix, baseline_spectrum, 0, np.array([1.0, 2.0]))
 
 
@@ -208,41 +208,65 @@ def test_a_time_that_is_not_finite_is_refused(
         "raw_defects",
         "entropy_time_independence_check",
         "row_norms",
+        "unitarity_defect",
+        "amplitude_row",
+        "freespace_f00_numeric",
+        "freespace_f00_closed",
+        "freespace_survival_asymptotic",
+        "g_integral",
     ],
 )
 def test_a_grid_of_two_axes_is_refused(
-    entry, small_params, small_matrix, small_spectrum
+    entry, monkeypatch, small_params, small_matrix, small_spectrum
 ):
-    """Each cavity entry point takes a scalar or a grid of one axis; a
-    (2, 3) grid is refused by the one time check, not flattened or left to
-    a numpy error."""
-    t = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+    """Each time entry point takes a real scalar or a real grid of one axis,
+    checked by the one time check before any quadrature: a (2, 3) grid, a
+    complex t and None are refused by name, not flattened, cast to their
+    real part or left to a numpy error, and NaN is refused as not finite.
+    ``amplitude_row`` takes exactly one time."""
+
+    def no_quadrature(*args):
+        raise AssertionError("the times are checked before any quadrature")
+
+    monkeypatch.setattr(freespace, "quad", no_quadrature)
+    m, spec = small_matrix, small_spectrum
     calls = {
-        "atom_amplitude": lambda: dc.atom_amplitude(
-            small_matrix.entries[0], small_spectrum, t
-        ),
-        "survival_probability": lambda: dc.survival_probability(
-            small_matrix, small_spectrum, t
-        ),
-        "small_cavity_amplitude_first_order": lambda: (
+        "atom_amplitude": lambda t: dc.atom_amplitude(m.entries[0], spec, t),
+        "survival_probability": lambda t: dc.survival_probability(m, spec, t),
+        "small_cavity_amplitude_first_order": lambda t: (
             dc.small_cavity_amplitude_first_order(small_params, t, 100)
         ),
-        "raw_defects": lambda: dc.raw_defects(small_params, small_spectrum, t),
-        "entropy_time_independence_check": lambda: (
+        "raw_defects": lambda t: dc.raw_defects(small_params, spec, t),
+        "entropy_time_independence_check": lambda t: (
             dc.entropy_time_independence_check(
-                small_params,
-                dc.EntangledStateConfig(xi=0.3),
-                t,
-                small_matrix,
-                small_spectrum,
+                small_params, dc.EntangledStateConfig(xi=0.3), t, m, spec
             )
         ),
-        "row_norms": lambda: dc.row_norms(
-            small_matrix.entries, small_spectrum.omegas, 0, t
+        "row_norms": lambda t: dc.row_norms(m.entries, spec.omegas, 0, t),
+        "unitarity_defect": lambda t: dc.unitarity_defect(m, spec, 0, t),
+        "amplitude_row": lambda t: dc.amplitude_row(m, spec, 0, t),
+        "freespace_f00_numeric": lambda t: dc.freespace_f00_numeric(small_params, t),
+        "freespace_f00_closed": lambda t: dc.freespace_f00_closed(small_params, t),
+        "freespace_survival_asymptotic": lambda t: (
+            dc.freespace_survival_asymptotic(small_params, t)
         ),
+        "g_integral": lambda t: dc.g_integral(small_params, t),
     }
-    with pytest.raises(ValidationError, match=r"one axis, got shape \(2, 3\)"):
-        calls[entry]()
+    refused = [
+        (np.linspace(0.0, 5.0, 6).reshape(2, 3), ValidationError, r"shape \(2, 3\)"),
+        (1j, ValidationError, "dtype complex128"),
+        (np.array([1 + 2j, 3.0]), ValidationError, r"shape \(2,\)"),
+        (None, ValidationError, "dtype object"),
+        (np.nan, ApproximationDomainError, "t must be finite"),
+    ]
+    if entry == "amplitude_row":
+        refused += [
+            ([0.0, 1.0], ValidationError, r"takes one time, got shape \(2,\)"),
+            (np.array([1.0]), ValidationError, r"takes one time, got shape \(1,\)"),
+        ]
+    for t, error, message in refused:
+        with pytest.raises(error, match=message):
+            calls[entry](t)
 
 
 def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectrum):

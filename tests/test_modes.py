@@ -411,26 +411,60 @@ def test_build_matrix_rejects_linearly_dependent_columns(n):
 
 
 @pytest.mark.parametrize(
-    "nudge, message",
+    "eps, message",
     [
-        # one ulp apart: the Gram's smallest eigenvalue is at roundoff, and
+        # 1e-10: the Gram's smallest eigenvalue is at roundoff, and
         # ||E||_F stops falling
-        (lambda omega: np.nextafter(omega, np.inf), "stopped converging"),
-        # 1e-7 apart: ||E||_F keeps falling, too slowly to end in 50 steps
-        (lambda omega: omega * (1.0 + 1e-7), "did not converge in 50 steps"),
+        (1e-10, "stopped converging"),
+        # 1e-9: ||E||_F keeps falling, too slowly to end in 50 steps
+        (1e-9, "did not converge in 50 steps"),
     ],
-    ids=["one ulp apart", "1e-7 apart"],
+    ids=["2e-10 apart", "2e-9 apart"],
 )
-def test_build_matrix_refuses_nearly_dependent_columns(nudge, message):
-    # roots that increase strictly pass _check_increasing, so the Loewdin
-    # iteration itself must refuse two nearly identical columns
+def test_build_matrix_refuses_nearly_dependent_columns(eps, message):
+    # roots 0 and 1 a relative eps either side of the bare frequency
+    # delta_omega still interlace, so the Loewdin iteration itself must
+    # refuse their two nearly identical columns
     p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=20)
     spec = dc.solve_spectrum(p)
     omegas = np.array(spec.omegas)
-    omegas[1] = nudge(omegas[0])
-    assert omegas[1] > omegas[0]
+    omegas[:2] = p.delta_omega * np.array([1.0 - eps, 1.0 + eps])
+    assert dc.check_interlacing(p, replace(spec, omegas=omegas))
     with pytest.raises(NumericDomainError, match=message):
         dc.build_matrix(p, replace(spec, omegas=omegas))
+
+
+def _roots_of_other_params():
+    """N = 300 params at delta = 0.1 with the roots solved at 0.1001."""
+    other = dc.make_params(1.0, 0.5, delta=0.1001, n_modes=300)
+    return dc.make_params(1.0, 0.5, delta=0.1, n_modes=300), dc.solve_spectrum(other)
+
+
+def _root_out_of_its_branch():
+    """N = 50 roots with root 5 moved past its branch, to (6 dw + Omega_6)/2,
+    in increasing order still."""
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=50)
+    spec = dc.solve_spectrum(p)
+    omegas = np.array(spec.omegas)
+    omegas[5] = 0.5 * (6.0 * p.delta_omega + omegas[6])
+    assert np.all(np.diff(omegas) > 0.0)
+    return p, replace(spec, omegas=omegas)
+
+
+@pytest.mark.parametrize(
+    "case", [_roots_of_other_params, _root_out_of_its_branch],
+    ids=["other params", "out of its branch"],
+)
+@pytest.mark.parametrize(
+    "entry", [dc.build_matrix, dc.atom_row, dc.raw_defects, dc.assemble_raw_matrix],
+    ids=lambda f: f.__name__,
+)
+def test_roots_that_do_not_interlace_are_refused(case, entry):
+    # the one root check refuses them before any column is formed
+    p, spec = case()
+    args = (p, spec, [0.0, 1.0]) if entry is dc.raw_defects else (p, spec)
+    with pytest.raises(NumericDomainError, match="interlace"):
+        entry(*args)
 
 
 @pytest.mark.parametrize(
