@@ -166,7 +166,8 @@ def von_neumann_entropy(eigenvalues) -> float | np.ndarray:
     float, a stack of spectra one entropy per leading index.  Eigenvalues
     may dip to -1e-10 (numerical noise) and are clipped to [0, 1];
     anything below 1e-12 is treated as an exact zero before the logarithm.
-    Each spectrum must sum to one within 1e-6.
+    Each spectrum must sum to one within 1e-6, which a spectrum holding
+    a NaN or an infinity never does.
     """
     alpha = np.asarray(eigenvalues, dtype=float)
     single = alpha.ndim <= 1
@@ -176,7 +177,7 @@ def von_neumann_entropy(eigenvalues) -> float | np.ndarray:
             f"eigenvalue {alpha.min()} is negative beyond tolerance"
         )
     totals = alpha.sum(axis=-1)
-    off = np.abs(totals - 1.0) > 1e-6
+    off = ~(np.abs(totals - 1.0) <= 1e-6)  # a NaN total is off
     if np.any(off):
         raise NormalizationError(
             f"eigenvalues sum to {totals[off].flat[0]}, expected 1"

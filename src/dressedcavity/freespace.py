@@ -45,9 +45,16 @@ in which the fourth-quadrant residue has cancelled against the branch
 jump of E_1.  F is real on the positive real axis, so the factor g/kappa,
 large near g = w, multiplies only Im F, which is of order kappa.
 
-scipy loads at first use, not at import, and only ``scipy.special``, on
-the first closed-form evaluation.  The cavity side (spectrum, mode
-matrix, survival, entropy) and the quadrature need numpy alone.
+F takes numpy alone, by region of z, where |z| -+ Re z = (w -+ g) t
+(DLMF 6.2, 6.6).  Past |z| = w t = 60 it is its asymptotic series.  Off
+the real axis, |z| - Re z > 3, it is one Gauss-Laguerre sum,
+-2z int_0^inf e^{-u} du / (u^2 - z^2) - i pi e^{-z}, as e^{-z} Ei(z) =
+-int_0^inf e^{-u} du / (u - z) - i pi e^{-z} at Im z < 0.  Next to the
+axis Ei(z) = gamma + ln z + sum_n z^n / (n n!), which cancels by at most
+e^3 there, and e^z E_1(z) = int_0^inf e^{-u} du / (u + z), or where
+|z| + Re z < 2 its series in -z with ln z; ln(-z) would add a pi that
+cancels against Ei's.
+
 ``quad`` is a public name bound in this module, and every integral
 calls it through that name, so a caller that replaces ``freespace.quad``
 (a test spy, the benchmark's tracer) sees every one of them.
@@ -118,15 +125,17 @@ _RAY_STEPS = (
 )
 _RAY_DECAY = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
-# e^z E_1(z) = int_0^inf e^{-u} / (u + z) du by Gauss-Laguerre once |z| >= 2
-_LAGUERRE_MIN_ABS = 2.0
-_LAGUERRE_CHUNK = 4096  # points per (points x nodes) block
-# F(z) by its asymptotic series once |z| >= 60, truncated after (2m)!/z^(2m+1)
-# for m < 15; the series error and the dropped Stokes term are below e^-60
+# The rule errs as its pole, u = -z for E_1 or u = z for Ei, nears the nodes,
+# so F's regions (module docstring) switch at |z| + Re z = 2, |z| - Re z = 3
+# and |z| = 60.  The power series' 150 terms, each z (n - 1) / n^2 times the
+# last, leave out < 1e-21 of |Ei(z)| where it runs; the asymptotic series cut
+# after (2m)!/z^(2m+1), m < 15, and its dropped Stokes term leave out < e^-60.
+_LAGUERRE_MIN_SUM = 2.0
+_LAGUERRE_MIN_GAP = 3.0
 _ASYMPTOTIC_MIN_ABS = 60.0
 _ASYMPTOTIC_TERMS = 15
-# Ei by its power series where g > 10 kappa (z within 0.1 rad of the real axis)
-_EI_SERIES_MIN_RATIO = 10.0
+_SERIES_RATIOS = np.maximum(np.arange(150.0), 1.0) / np.arange(1.0, 151.0) ** 2
+_CHUNK = 1024  # points per (points x nodes) or (points x terms) block
 
 
 def _qk15(h, a: np.ndarray, b: np.ndarray):
@@ -187,14 +196,6 @@ def quad(h, intervals, tol: float) -> tuple[complex, float]:
         value = np.concatenate((value[keep], new_value))
         err = np.concatenate((err[keep], new_err))
         live = np.concatenate((live[keep], new_live))
-
-
-@functools.cache
-def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 96-point Gauss-Laguerre rule, built once."""
-    from scipy.special import roots_laguerre
-
-    return roots_laguerre(96)
 
 
 def _spectral_weight(params: SystemParams):
@@ -363,37 +364,27 @@ def g_integral(params: SystemParams, t, tol: float = DEFAULT_TOL):
     return freespace_f00_numeric(params, t, tol).imag
 
 
-def _scaled_exp1(z: np.ndarray) -> np.ndarray:
-    """e^z E_1(z) for Re z >= 0 and 0 < |z| < _ASYMPTOTIC_MIN_ABS."""
-    from scipy.special import exp1
+@functools.cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 96-point Gauss-Laguerre rule from the eigenpairs of its Jacobi
+    matrix (Golub and Welsch, Math. Comp. 23 (1969) 221)."""
+    k = np.arange(96.0)
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], -1))
+    return nodes, vectors[0] ** 2
 
-    out = np.empty_like(z)
-    small = np.abs(z) < _LAGUERRE_MIN_ABS
-    n_small = np.count_nonzero(small)
-    if n_small:
-        out[small] = np.exp(z[small]) * exp1(z[small])
-    nodes, weights = _laguerre_rule()
-    (idx,) = np.nonzero(~small)
-    for s in range(0, idx.size, _LAGUERRE_CHUNK):
-        block = idx[s : s + _LAGUERRE_CHUNK]
-        out[block] = (weights / (nodes + z[block][:, None])).sum(axis=1)
+
+def _row_sums(rows, a: np.ndarray) -> np.ndarray:
+    """rows(b).sum(axis=1), b each block of _CHUNK entries of a as a column:
+    one row of Laguerre nodes or series terms per entry, in bounded memory."""
+    out = np.empty_like(a)
+    for s in range(0, a.size, _CHUNK):
+        out[s : s + _CHUNK] = rows(a[s : s + _CHUNK, None]).sum(axis=1)
     return out
 
 
-def _ei_series(z: np.ndarray) -> np.ndarray:
-    """Ei(z) = gamma + ln z + sum_n z^n / (n n!), 3|z| + 20 terms per point.
-
-    Free of the pi that scipy's Ei(z) = -E_1(-z) - i pi adds and removes
-    again, so Im Ei keeps its relative accuracy next to the real axis.
-    """
-    n_terms = np.ceil(3.0 * np.abs(z)) + 20.0
-    term = np.ones_like(z)
-    total = np.zeros_like(z)
-    for n in range(1, int(n_terms.max(initial=0.0)) + 1):
-        term = term * z / n
-        # adding exact zeros keeps each point independent of the others
-        total += np.where(n <= n_terms, term / n, 0.0)
-    return np.euler_gamma + np.log(z) + total
+def _power_sum(z: np.ndarray) -> np.ndarray:
+    """sum_n z^n / (n n!), 150 terms at every z, so a grid's bits are its points'."""
+    return _row_sums(lambda b: np.multiply.accumulate(b * _SERIES_RATIOS, axis=1), z)
 
 
 def _asymptotic_f(z: np.ndarray) -> np.ndarray:
@@ -408,24 +399,32 @@ def _asymptotic_f(z: np.ndarray) -> np.ndarray:
 def _closed_imag(params: SystemParams, times: np.ndarray) -> np.ndarray:
     """G(t) = Im[(g/kappa - i) F(z)] / pi on a grid of t >= 0; G(0) = 0."""
     g, kappa = params.g, params.kappa
+    x, w = _laguerre_rule()
     out = np.zeros(times.shape)
     pos = times > 0.0
     z = (g - 1j * kappa) * times[pos]
-    far = np.abs(z) >= _ASYMPTOTIC_MIN_ABS
-    n_far = np.count_nonzero(far)
+    size = np.abs(z)
+    far = size >= _ASYMPTOTIC_MIN_ABS
+    off_axis = ~far & (size - z.real > _LAGUERRE_MIN_GAP)
+    near = ~(far | off_axis)
+    small = size + z.real < _LAGUERRE_MIN_SUM  # within near
     f = np.empty_like(z)
-    # skipping empty blocks keeps a scalar call clear of the per-term loops
-    # and of work on empty arrays
-    if n_far:
+    # a branch left empty is skipped, so a scalar call runs only its own
+    if np.count_nonzero(far):
         f[far] = _asymptotic_f(z[far])
-    if n_far < z.size:
-        from scipy.special import expi
-
-        close = ~far
-        near = z[close]
-        series = g > _EI_SERIES_MIN_RATIO * kappa
-        ei = _ei_series(near) if series else expi(near)
-        f[close] = _scaled_exp1(near) + np.exp(-near) * ei
+    if np.count_nonzero(off_axis):
+        zo = z[off_axis]
+        laguerre = _row_sums(lambda b: w / (x * x - b), zo * zo)
+        f[off_axis] = -2.0 * zo * laguerre - 1j * np.pi * np.exp(-zo)
+    lag = near & ~small
+    if np.count_nonzero(lag):
+        f[lag] = _row_sums(lambda b: w / (x + b), z[lag])
+    if np.count_nonzero(small):
+        zs = z[small]
+        f[small] = -np.exp(zs) * (np.euler_gamma + np.log(zs) + _power_sum(-zs))
+    if np.count_nonzero(near):
+        zn = z[near]
+        f[near] += np.exp(-zn) * (np.euler_gamma + np.log(zn) + _power_sum(zn))
     out[pos] = ((g / kappa - 1j) * f).imag / np.pi
     return out
 
@@ -434,9 +433,9 @@ def freespace_f00_closed(params: SystemParams, t):
     """Weak-coupling f_00(t): exact damped-oscillation real part plus i G(t).
 
     ``t`` is a scalar (returns a complex) or a grid (returns a complex
-    array).  G is the closed form of the module docstring; it agrees with
-    a 30-digit evaluation to within 4e-15 for g from 0.01 omega_bar to the
-    float below omega_bar and g t up to 1800.  Raises :class:`RegimeError`
+    array).  G is the closed form of the module docstring: over 6000 random
+    g from 0.01 omega_bar to the float below omega_bar and g t up to 1800,
+    within 3.6e-15 of a 30-digit evaluation.  Raises :class:`RegimeError`
     outside the weak regime; use :func:`freespace_f00_numeric` there.
     """
     if params.regime != REGIME_WEAK:

@@ -223,6 +223,12 @@ def test_von_neumann_entropy_guards():
         dc.von_neumann_entropy([0.4, 0.4])
     with pytest.raises(NormalizationError):
         dc.von_neumann_entropy([1.1, -0.1])
+    # a NaN fails every comparison, so it must not slip past both checks
+    for spectrum in ([np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0], [np.inf, -np.inf]):
+        with pytest.raises(NormalizationError):
+            dc.von_neumann_entropy(spectrum)
+    with pytest.raises(NormalizationError):
+        dc.rank_two_entropy(0.3, [1.0, np.nan])
 
 
 def test_entropy_flatness_numeric(baseline_params, baseline_spectrum,

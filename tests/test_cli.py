@@ -786,8 +786,19 @@ for argv in (
         (_CAVITY_COMMANDS, set(), {_INTEGRATE, _SPECIAL}),
         (
             "from dressedcavity import cli\nassert cli.main(['figure1']) == 0",
-            {_SPECIAL},
-            {_INTEGRATE},
+            set(),
+            {_INTEGRATE, _SPECIAL},
+        ),
+        (
+            "from dressedcavity import cli\n"
+            "assert cli.main(['evolve', '--mode', 'free_space_closed']) == 0",
+            set(),
+            {_INTEGRATE, _SPECIAL},
+        ),
+        (
+            "from dressedcavity import cli\nassert cli.main(['selftest']) == 0",
+            set(),
+            {_INTEGRATE, _SPECIAL},
         ),
         (
             "import dressedcavity as dc\n"
@@ -811,16 +822,19 @@ for argv in (
     ids=[
         "cavity_commands",
         "figure1",
+        "evolve_free_space_closed",
+        "selftest",
         "freespace_f00_numeric",
         "freespace_f00_numeric_t1e4",
         "figure1_strong",
     ],
 )
 def test_scipy_loads_only_where_free_space_is_computed(tmp_path, code, loaded, not_loaded):
-    """Start-up contract, in a fresh interpreter: the cavity side needs numpy
-    alone, the closed form loads scipy.special, and the quadrature, which
-    is the free space of figure1 at strong coupling, needs numpy alone at
-    every t (at t = 1e4 the panel [0, 2] spans 2e4 rad)."""
+    """Start-up contract, in a fresh interpreter: the cavity side, the
+    free-space closed form (figure1, evolve --mode free_space_closed,
+    selftest) and the quadrature, which is the free space of figure1 at
+    strong coupling, need numpy alone, the quadrature at every t (at
+    t = 1e4 the panel [0, 2] spans 2e4 rad)."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(dc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

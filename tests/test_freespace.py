@@ -337,7 +337,7 @@ def test_survival_from_closed_decays(weak):
 
 
 @pytest.mark.parametrize(
-    "g", [0.01, 0.5, 0.95, 1.0 - 1e-6, float(np.nextafter(1.0, 0.0))]
+    "g", [0.01, 0.5, 0.9, 0.95, 1.0 - 1e-6, float(np.nextafter(1.0, 0.0))]
 )
 def test_closed_form_matches_four_pole_sum(g):
     """Closed form against an independent 30-digit evaluation up to g t = 1800.
@@ -347,15 +347,52 @@ def test_closed_form_matches_four_pole_sum(g):
     evaluation does not amplify roundoff by that factor.
     """
     p = dc.make_params(1.0, g, delta=0.1)
-    # plus both sides of |z| = 2 and |z| = 60, where the evaluation switches
-    times = np.concatenate(
-        [np.geomspace(1e-3, 1800.0 / g, 40), [1.9, 2.1, 59.9, 60.1]]
-    )
+    # plus both sides of each switch of the evaluation: |z| + Re z = 2, or
+    # (omega_bar + g) t = 2; |z| - Re z = 3 at g = 0.5 and 0.9; |z| = 60
+    switches = [1.9, 2.1, 5.9, 6.1, 29.9, 30.1, 59.9, 60.1]
+    sum_switch = 2.0 / (1.0 + g) * np.array([0.99, 1.01])
+    times = np.concatenate([np.geomspace(1e-3, 1800.0 / g, 40), switches, sum_switch])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         closed = dc.freespace_f00_closed(p, times)
     reference = np.array([four_pole_f00(p, t) for t in times])
     assert np.max(np.abs(closed - reference)) <= 1e-13
+
+
+def test_closed_form_within_its_stated_bound():
+    """The 3.6e-15 of freespace_f00_closed's docstring on 14 g x 65-68 t: t
+    from 1e-3 past |z| = 60, with both sides of every switch."""
+    worst = 0.0
+    for g in [0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999,
+              1.0 - 1e-6, float(np.nextafter(1.0, 0.0))]:
+        p = dc.make_params(1.0, g, delta=0.1)
+        gap = 3.0 / (1.0 - g)  # (omega_bar - g) t = 3
+        times = np.concatenate([
+            np.geomspace(1e-3, 300.0, 50),
+            [0.5, 1.9, 2.0, 2.1, 5.0, 10.0, 20.0, 40.0, 59.9, 60.0, 60.1, 100.0],
+            2.0 / (1.0 + g) * np.array([0.99, 1.0, 1.01]),  # (omega_bar + g) t = 2
+            [0.99 * gap, gap, 1.01 * gap] if gap < 300.0 else [],
+        ])
+        closed = dc.freespace_f00_closed(p, times)
+        reference = np.array([four_pole_f00(p, t) for t in times])
+        worst = max(worst, np.abs(closed - reference).max())
+    assert worst <= 3.6e-15
+
+
+def test_closed_form_next_to_the_real_axis_below_the_e1_switch():
+    """Near g = omega_bar and |z| = 2 the series of E_1 cancels by about
+    150, and the error of its Im F is multiplied by g/kappa; the Laguerre
+    sum takes over down to |z| + Re z = 2, or t = 2 / (omega_bar + g), and
+    keeps f_00 within 1e-15 (3.1e-15 with the series up to |z| = 2)."""
+    worst = 0.0
+    for g in [0.99, 0.999, 0.9999, 1.0 - 1e-5, 1.0 - 1e-6, 1.0 - 1e-7,
+              float(np.nextafter(1.0, 0.0))]:
+        p = dc.make_params(1.0, g, delta=0.1)
+        times = np.linspace(1.0, 2.0, 21)
+        closed = dc.freespace_f00_closed(p, times)
+        reference = np.array([four_pole_f00(p, t) for t in times])
+        worst = max(worst, np.abs(closed - reference).max())
+    assert worst <= 1e-15
 
 
 def test_closed_grid_equals_scalar_calls():
@@ -371,14 +408,18 @@ def test_closed_grid_equals_scalar_calls():
         assert dc.freespace_f00_closed(p, np.array([1.0])).shape == (1,)
 
 
-@pytest.mark.parametrize("g", [0.05, 0.5, 0.999])
+@pytest.mark.parametrize("g", [0.05, 0.5, 0.9, 0.999])
 def test_scalar_calls_equal_the_grid_on_both_sides_of_each_switch(g):
-    """The closed form switches at |z| = 2 and 60, with |z| = omega_bar t,
-    and skips whichever branch a call leaves empty; a scalar call at each
-    side of a switch, alone or in a grid that mixes every branch and t = 0,
+    """The closed form switches at |z| = omega_bar t = 60, at |z| - Re z =
+    (omega_bar - g) t = 3 (t = 6 at g = 0.5, 30 at g = 0.9) and at |z| +
+    Re z = (omega_bar + g) t = 2, and skips whichever branch a call leaves
+    empty; a scalar call at each side
+    of a switch, alone or in a grid that mixes every branch and t = 0,
     gives the same bits.  So does the asymptotic survival."""
     p = dc.make_params(1.0, g, delta=0.1)
     times = np.array([60.1, 0.0, 1.9, 59.9, 2.1, 3.3, 1e-3, 40.0, 600.0, 2.0, 60.0])
+    sum_switch = 2.0 / (1.0 + g) * np.array([1.01, 0.99, 1.0])
+    times = np.concatenate([times, [6.1, 5.9, 30.1, 29.9], sum_switch])
     grid = dc.freespace_f00_closed(p, times)
     scalars = np.array([dc.freespace_f00_closed(p, float(t)) for t in times])
     assert np.array_equal(grid.view(float), scalars.view(float))
@@ -512,6 +553,24 @@ def test_kronrod_weights_integrate_monomials_through_degree_22():
         total = math.fsum(freespace._QK15_KRONROD * freespace._QK15_NODES**k)
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(total - exact) <= 2e-16, k
+
+
+def test_laguerre_rule_is_scipys():
+    from scipy.special import roots_laguerre
+
+    nodes, weights = freespace._laguerre_rule()
+    ref_nodes, ref_weights = roots_laguerre(96)
+    assert np.abs(nodes / ref_nodes - 1.0).max() <= 1e-12
+    assert np.abs(weights - ref_weights).max() <= 1e-14
+
+
+def test_laguerre_weights_integrate_monomials_through_degree_15():
+    """sum_j w_j x_j^k = k!; past k = 15 the weights of the largest nodes,
+    right to about eps absolute but not relative, take over the sum."""
+    nodes, weights = freespace._laguerre_rule()
+    for k in range(16):
+        total = math.fsum(weights * nodes**k)
+        assert abs(total / math.factorial(k) - 1.0) <= 1e-13, k
 
 
 def test_quad_integrates_to_its_tolerance():
