@@ -59,8 +59,6 @@ from .modes import (
 )
 from .params import (
     DEFAULT_N_MODES,
-    REGIME_STRONG,
-    REGIME_WEAK,
     SystemParams,
     make_params,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "NumericDomainError",
     "PhysicalityError",
     "QuadratureError",
-    "REGIME_STRONG",
-    "REGIME_WEAK",
     "RawDefects",
     "RegimeError",
     "Spectrum",

@@ -556,6 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dressedcavity",
         description="Dressed-atom cavity dynamics and entanglement toolkit",
     )
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="flat key=value configuration file")
+    for f in fields(RunConfig):
+        options.add_argument(
+            "--" + f.name.replace("_", "-"), default=argparse.SUPPRESS,
+            help=_FLAG_HELP.get(f.name), **_flag_options(f.name),
+        )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("spectrum", "emit the normal-mode frequency table as CSV"),
@@ -566,13 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("selftest", "run the invariant suite; exit 0 only if all pass"),
     ):
         # no prefix matching: a removed flag such as --c must not read as --config
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value configuration file")
-        for f in fields(RunConfig):
-            p.add_argument(
-                "--" + f.name.replace("_", "-"), default=argparse.SUPPRESS,
-                help=_FLAG_HELP.get(f.name), **_flag_options(f.name),
-            )
+        sub.add_parser(name, help=help_text, allow_abbrev=False, parents=[options])
     return parser
 
 

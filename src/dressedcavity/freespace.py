@@ -9,6 +9,9 @@ independent ways, and the large-time survival has an asymptotic form.
 All three take t as a scalar or a grid of one axis, which
 ``params._checked_times`` checks; before anything is computed, the
 free-space domain refuses any t < 0, or t <= 0 for the asymptotic form.
+The coupling regime is decided here and nowhere else: the closed and the
+asymptotic form need weak coupling, g < w, and raise ``RegimeError`` at
+g >= w (``_weak_kappa``); the quadrature takes any g.
 
 Quadrature, any coupling, one rule for every t >= 0, one time of a grid
 at a time, one complex integral int_0^inf f(x) e^{-ixt} dx per
@@ -69,7 +72,7 @@ import math
 import numpy as np
 
 from .errors import ApproximationDomainError, QuadratureError, RegimeError
-from .params import REGIME_WEAK, SystemParams, _checked_times as _finite_times
+from .params import SystemParams, _checked_times as _finite_times
 
 #: default absolute accuracy of the semi-infinite quadratures
 DEFAULT_TOL = 1e-8
@@ -396,9 +399,19 @@ def _asymptotic_f(z: np.ndarray) -> np.ndarray:
     return 2.0 * inv * poly - 1j * np.pi * np.exp(-z)
 
 
-def _closed_imag(params: SystemParams, times: np.ndarray) -> np.ndarray:
+def _weak_kappa(params: SystemParams, message: str) -> float:
+    """kappa = sqrt(w^2 - g^2) at weak coupling, g < w: the one place the
+    coupling regime is decided.  Else raises :class:`RegimeError` with
+    ``message``; g = w counts as strong, since kappa vanishes there and
+    the damped-oscillation form turns singular."""
+    omega_bar, g = params.omega_bar, params.g
+    if not g < omega_bar:
+        raise RegimeError(message)
+    return math.sqrt(omega_bar * omega_bar - g * g)
+
+
+def _closed_imag(g: float, kappa: float, times: np.ndarray) -> np.ndarray:
     """G(t) = Im[(g/kappa - i) F(z)] / pi on a grid of t >= 0; G(0) = 0."""
-    g, kappa = params.g, params.kappa
     x, w = _laguerre_rule()
     out = np.zeros(times.shape)
     pos = times > 0.0
@@ -438,17 +451,15 @@ def freespace_f00_closed(params: SystemParams, t):
     within 3.6e-15 of a 30-digit evaluation.  Raises :class:`RegimeError`
     outside the weak regime; use :func:`freespace_f00_numeric` there.
     """
-    if params.regime != REGIME_WEAK:
-        raise RegimeError(
-            "no closed form for g >= omega_bar; use freespace_f00_numeric"
-        )
+    kappa = _weak_kappa(
+        params, "no closed form for g >= omega_bar; use freespace_f00_numeric"
+    )
     times = _checked_times(t)
-    kappa = params.kappa
     g = params.g
     re = np.exp(-g * times) * (
         np.cos(kappa * times) - (g / kappa) * np.sin(kappa * times)
     )
-    out = re + 1j * _closed_imag(params, times)
+    out = re + 1j * _closed_imag(g, kappa, times)
     return complex(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -460,8 +471,7 @@ def freespace_survival_asymptotic(params: SystemParams, t):
     on a scalar (returns a float) or a grid (returns an array).  Refused
     at t = 0, and at any t > 0 where the t^(-6) term is not a finite float.
     """
-    if params.regime != REGIME_WEAK:
-        raise RegimeError("no asymptotic form for g >= omega_bar")
+    _weak_kappa(params, "no asymptotic form for g >= omega_bar")
     times = _checked_times(t, positive=True)
     w = params.omega_bar
     g = params.g

@@ -117,11 +117,17 @@ from .errors import (
     ValidationError,
 )
 from .params import SystemParams, _checked_times
-from .spectrum import Spectrum, check_interlacing
+from .spectrum import Spectrum, check_interlacing, newton_residuals
 
 #: |omega_k^2 - Omega_r^2| below this multiple of delta_omega^2 means a
 #: root landed on a bare frequency, which interlacing forbids.
 _RESONANCE_FLOOR = 1e-12
+
+#: largest Newton residual |F/F'| under ``params``, in units of delta_omega,
+#: of roots taken for theirs.  Solved roots read at most 6e-13 (N up to 3000,
+#: g 0.05-10, delta 1e-3-1000) and roots of a nearby (g, delta) with the
+#: same spacing 1e-2 (N = 300, (0.6, 0.12) against (0.5, 0.1)).
+_RESIDUAL_BOUND = 1e-8
 
 #: Newton-Schulz steps allowed before the Loewdin iteration is declared
 #: stuck.  Adequate truncations take 2; a Gram matrix with smallest
@@ -193,7 +199,8 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
     Row 0 is :func:`atom_element`; field row k (k = 1..N) is
     eta*omega_k/(omega_k^2 - Omega_r^2) times it.  Interlacing keeps
     omega_k^2 - Omega_r^2 bounded away from zero, and roots that do not
-    interlace are refused (:func:`_check_columns`).  The field rows are
+    interlace, or are not the solved roots of ``params``, are refused
+    (:func:`_check_columns`).  The field rows are
     filled in place and no other (N+1)^2 array is formed: the resonance
     check reads each root's distance at its nearest bare frequencies only
     (:func:`_nearest_resonance`).
@@ -205,10 +212,24 @@ def assemble_raw_matrix(params: SystemParams, spectrum: Spectrum) -> np.ndarray:
 def _assemble(params: SystemParams, spectrum: Spectrum, atom_row) -> np.ndarray:
     """The matrix with row 0 ``atom_row`` and the field rows of
     :func:`_field_rows` on it, filled in place."""
-    t = np.empty((params.n_modes + 1, params.n_modes + 1))
+    t = _square(params)
     t[0, :] = atom_row
     _field_rows(params, params.field_frequencies(), spectrum.omegas, t[0], t[1:])
     return t
+
+
+def _square(params: SystemParams) -> np.ndarray:
+    """An empty (N+1)^2 float array: the one allocation of that size here.
+    Where it does not fit, :class:`ValidationError` names n_modes and the
+    bytes of the array, in place of numpy's ``MemoryError``."""
+    size = params.n_modes + 1
+    try:
+        return np.empty((size, size))
+    except MemoryError:
+        raise ValidationError(
+            f"n_modes = {params.n_modes} needs (n_modes + 1)^2 arrays of "
+            f"{8 * size * size} bytes each, more than this process can allocate"
+        ) from None
 
 
 def _field_rows(params: SystemParams, omega_k, omegas, atom_row, out) -> np.ndarray:
@@ -221,15 +242,18 @@ def _field_rows(params: SystemParams, omega_k, omegas, atom_row, out) -> np.ndar
 
 
 def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
-    """Refuse roots that do not interlace with the bare frequencies of
-    ``params``: the one check of a root set for the closed-form columns.
+    """Refuse roots that are not the solved spectrum of ``params``: the one
+    check of a root set for the closed-form columns.
 
     A spectrum of another size raises :class:`ConsistencyError`, a root
     within the resonance floor of a bare frequency
     :class:`NearResonanceError`, and any other root outside its branch
     (``spectrum.check_interlacing``) :class:`NumericDomainError`, so no
-    two roots, or columns, are equal.  Only the spacing delta_omega is
-    read: a spectrum of other parameters with the same spacing passes.
+    two roots, or columns, are equal.  Roots that interlace but whose
+    Newton residual under ``params`` (``spectrum.newton_residuals``, not
+    the stored ones) passes ``_RESIDUAL_BOUND`` delta_omega raise
+    :class:`ConsistencyError`: those of other parameters with the same
+    spacing are refused.
     """
     if spectrum.n_modes != params.n_modes:
         raise ConsistencyError(
@@ -245,6 +269,12 @@ def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
     if not check_interlacing(params, spectrum):
         raise NumericDomainError(
             "roots must interlace with the bare frequencies, one per branch"
+        )
+    residual = float(newton_residuals(params, spectrum.omegas).max())
+    if not residual <= _RESIDUAL_BOUND * params.delta_omega:
+        raise ConsistencyError(
+            f"roots are not the spectrum of these params: Newton residual "
+            f"{residual:.3e} exceeds {_RESIDUAL_BOUND:g} delta_omega"
         )
 
 
@@ -500,7 +530,7 @@ def _polar_factor(params: SystemParams, spectrum: Spectrum):
     """
     x, raw_norms, shifted, gram_rows = _rescaled_matrix(params, spectrum)
     u = x[0].copy()
-    defect = np.empty_like(x)
+    defect = _square(params)
     raw_offdiag, previous, bracket = _first_defect(gram_rows, u, defect)
     closed = bool(_max_abs(bracket) <= _BRACKET_MAX)
     block = np.empty((_PRODUCT_ROWS, x.shape[1]))
@@ -672,8 +702,9 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     matrix G = X^T X of the module docstring, which is taken here
     ``_BLOCK_ROWS`` rows at a time and never as an (N+1)^2 array: O(N^2)
     time, O(N) memory.  Roots are refused as in
-    :func:`assemble_raw_matrix`, after the time argument: an empty grid and
-    what ``params._checked_times`` refuses are refused first.
+    :func:`assemble_raw_matrix`, those of other parameters with the same
+    spacing included (:func:`_check_columns`), after the time argument: an
+    empty grid and what ``params._checked_times`` refuses are refused first.
     """
     times = _checked_times(times)
     if times.size == 0:

@@ -16,14 +16,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ApproximationDomainError, ValidationError
-
-REGIME_WEAK = "weak"      # g < omega_bar, kappa real
-REGIME_STRONG = "strong"  # g >= omega_bar, no damped-oscillation closed form
 
 #: Default number of retained field modes when the caller does not choose.
 DEFAULT_N_MODES = 1000
@@ -31,17 +27,19 @@ DEFAULT_N_MODES = 1000
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Validated physical inputs plus every derived scalar used downstream."""
+    """Validated physical inputs plus the derived scalars of the cavity.
 
-    omega_bar: float        # renormalized atom frequency (rad/time)
-    g: float                # atom-environment coupling (frequency units)
-    radius: float           # R/c = pi/delta_omega (time, c = 1)
-    n_modes: int            # field-mode truncation count N
-    delta: float            # dimensionless g*R/(pi*c), equals g/delta_omega
-    delta_omega: float      # bare mode spacing pi*c/R = g/delta
-    eta: float              # coupling amplitude sqrt(4*g*delta_omega/pi)
-    kappa: Optional[float]  # sqrt(omega_bar^2 - g^2), defined only when weak
-    regime: str             # REGIME_WEAK or REGIME_STRONG
+    The coupling regime (g < omega_bar or not) is no field: the free-space
+    closed forms, which alone depend on it, decide it in ``freespace``.
+    """
+
+    omega_bar: float    # renormalized atom frequency (rad/time)
+    g: float            # atom-environment coupling (frequency units)
+    radius: float       # R/c = pi/delta_omega (time, c = 1)
+    n_modes: int        # field-mode truncation count N
+    delta: float        # dimensionless g*R/(pi*c), equals g/delta_omega
+    delta_omega: float  # bare mode spacing pi*c/R = g/delta
+    eta: float          # coupling amplitude sqrt(4*g*delta_omega/pi)
 
     def field_frequencies(self) -> np.ndarray:
         """Bare cavity frequencies k*delta_omega for k = 1..n_modes."""
@@ -85,10 +83,8 @@ def make_params(
 ) -> SystemParams:
     """Build a validated :class:`SystemParams`.
 
-    A cavity of radius R at wave speed c is ``delta`` = g*R/(pi*c).  The
-    regime flag is ``"weak"`` for g < omega_bar and ``"strong"`` otherwise
-    (g equal to omega_bar counts as strong because kappa would vanish and
-    the damped-oscillation closed form becomes singular).
+    A cavity of radius R at wave speed c is ``delta`` = g*R/(pi*c).  Any
+    g > 0 is accepted, at or above omega_bar too.
 
     Raises
     ------
@@ -106,15 +102,6 @@ def make_params(
     if count is None or count < 1:
         raise ValidationError(f"n_modes must be an integer >= 1, got {n_modes!r}")
     delta_omega = g / delta
-
-    eta = math.sqrt(4.0 * g * delta_omega / math.pi)
-    if g < omega_bar:
-        regime = REGIME_WEAK
-        kappa: Optional[float] = math.sqrt(omega_bar * omega_bar - g * g)
-    else:
-        regime = REGIME_STRONG
-        kappa = None
-
     return SystemParams(
         omega_bar=omega_bar,
         g=g,
@@ -122,7 +109,5 @@ def make_params(
         n_modes=count,
         delta=delta,
         delta_omega=delta_omega,
-        eta=eta,
-        kappa=kappa,
-        regime=regime,
+        eta=math.sqrt(4.0 * g * delta_omega / math.pi),
     )

@@ -42,7 +42,8 @@ def oracle_f00(params, t):
     smooth Laplace integral, which generic adaptive quadrature handles
     without any oscillatory machinery.  Valid in the weak regime.
     """
-    w, g, kappa = params.omega_bar, params.g, params.kappa
+    w, g = params.omega_bar, params.g
+    kappa = math.sqrt(w * w - g * g)
     re = np.exp(-g * t) * (np.cos(kappa * t) - (g / kappa) * np.sin(kappa * t))
     laplace = quad(
         lambda y: y * y * np.exp(-y * t) / ((y * y + w * w) ** 2 - 4 * g * g * y * y),
@@ -160,6 +161,17 @@ def test_asymptotic_survival_refuses_times_where_it_overflows(weak):
         tiny = dc.freespace_survival_asymptotic(weak, 1e-50)
     # 64 g^2 / (w^8 t^6) at g = 0.5, w = 1
     assert tiny == pytest.approx(1.6e301, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [1.0, 2.5], ids=["at omega_bar", "above omega_bar"])
+def test_closed_forms_count_g_equal_to_omega_bar_as_strong(g):
+    # the regime is decided in freespace alone: g = omega_bar, where kappa
+    # would vanish, is refused with the same message as g > omega_bar
+    p = dc.make_params(1.0, g, delta=0.1)
+    with pytest.raises(RegimeError, match="^no closed form for g >= omega_bar; "):
+        dc.freespace_f00_closed(p, 1.0)
+    with pytest.raises(RegimeError, match="^no asymptotic form for g >= omega_bar$"):
+        dc.freespace_survival_asymptotic(p, 5.0)
 
 
 def test_closed_form_requires_weak_regime(strong):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dressedcavity as dc
+from dressedcavity import cli
 from dressedcavity.errors import (
     ApproximationDomainError,
     ConsistencyError,
@@ -465,6 +466,74 @@ def test_roots_that_do_not_interlace_are_refused(case, entry):
     args = (p, spec, [0.0, 1.0]) if entry is dc.raw_defects else (p, spec)
     with pytest.raises(NumericDomainError, match="interlace"):
         entry(*args)
+
+
+@pytest.mark.parametrize(
+    "entry", [dc.build_matrix, dc.atom_row, dc.raw_defects, dc.assemble_raw_matrix],
+    ids=lambda f: f.__name__,
+)
+def test_roots_of_other_params_with_the_same_spacing_are_refused(entry):
+    # (g, delta) = (0.6, 0.12) and (0.5, 0.1) share delta_omega = 5, so the
+    # roots of one interlace with the bare frequencies of the other; their
+    # Newton residuals under the other read 1.2e-2 delta_omega
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=300)
+    spec = dc.solve_spectrum(dc.make_params(1.0, 0.6, delta=0.12, n_modes=300))
+    assert dc.check_interlacing(p, spec)
+    args = (p, spec, [0.0, 1.0]) if entry is dc.raw_defects else (p, spec)
+    with pytest.raises(ConsistencyError, match="not the spectrum of these params"):
+        entry(*args)
+
+
+@pytest.mark.parametrize(
+    "g, delta, n",
+    [(0.5, 1e-3, 3000), (0.5, 1000.0, 200), (3.0, 30.0, 3000), (0.05, 0.1, 300),
+     (10.0, 1e-3, 1000)],
+)
+def test_solved_roots_pass_the_residual_check_with_room(g, delta, n):
+    # they read at most 6e-13 delta_omega, far below the bound of 1e-8
+    p = dc.make_params(1.0, g, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    dc.modes._check_columns(p, spec)
+    residual = dc.newton_residuals(p, spec.omegas).max()
+    assert residual <= 1e-3 * dc.modes._RESIDUAL_BOUND * p.delta_omega
+
+
+def _refuse_square(monkeypatch, n, nth):
+    """Make the nth np.empty of an (n+1)^2 array raise MemoryError, as it
+    does where the array passes the memory limit."""
+    empty, calls = np.empty, []
+
+    def failing(shape, *args, **kwargs):
+        if shape == (n + 1, n + 1):
+            calls.append(shape)
+            if len(calls) == nth:
+                raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", failing)
+
+
+@pytest.mark.parametrize(
+    "entry, nth", [(dc.build_matrix, 1), (dc.build_matrix, 2), (dc.atom_row, 1)],
+    ids=["build_matrix X", "build_matrix E", "atom_row X"],
+)
+def test_a_matrix_past_the_memory_limit_is_a_named_refusal(monkeypatch, entry, nth):
+    p = dc.make_params(1.0, 0.5, delta=0.1, n_modes=50)
+    spec = dc.solve_spectrum(p)
+    _refuse_square(monkeypatch, 50, nth)
+    with pytest.raises(ValidationError) as excinfo:
+        entry(p, spec)
+    assert str(excinfo.value) == (
+        "n_modes = 50 needs (n_modes + 1)^2 arrays of 20808 bytes each, "
+        "more than this process can allocate"
+    )
+
+
+def test_cli_exits_3_with_one_line_past_the_memory_limit(monkeypatch, tmp_path, capsys):
+    _refuse_square(monkeypatch, 50, 1)
+    assert cli.main(["evolve", "--n-modes", "50", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_modes = 50 needs ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,21 +15,17 @@ def test_baseline_derived_scalars():
     assert p.delta_omega == pytest.approx(5.0, rel=1e-15)
     assert p.radius == pytest.approx(0.62831853071795865, rel=1e-15)
     assert p.eta == pytest.approx(1.7841241161527711, rel=1e-15)
-    assert p.kappa == pytest.approx(0.86602540378443865, rel=1e-15)
-    assert p.regime == dc.REGIME_WEAK
     assert p.n_modes == 100
 
 
-def test_boundary_coupling_is_strong():
-    p = dc.make_params(1.0, 1.0, delta=0.1)
-    assert p.regime == dc.REGIME_STRONG
-    assert p.kappa is None
-
-
-def test_strong_coupling():
-    p = dc.make_params(1.0, 2.5, delta=0.1)
-    assert p.regime == dc.REGIME_STRONG
-    assert p.kappa is None
+def test_the_coupling_regime_is_no_parameter():
+    # freespace alone compares g with omega_bar; params carries no regime
+    p = dc.make_params(1.0, 0.5, delta=0.1)
+    assert [f.name for f in fields(p)] == [
+        "omega_bar", "g", "radius", "n_modes", "delta", "delta_omega", "eta"
+    ]
+    for name in ("REGIME_WEAK", "REGIME_STRONG"):
+        assert not hasattr(dc, name) and name not in dc.__all__
 
 
 @pytest.mark.parametrize("name", ["omega_bar", "g"])
@@ -85,7 +82,6 @@ def test_eta_coupling_identity(omega_bar, g, delta):
     p = dc.make_params(omega_bar, g, delta=delta)
     assert p.eta**2 / p.delta_omega == pytest.approx(4.0 * g / math.pi, rel=1e-12)
     assert p.delta * p.delta_omega == pytest.approx(g, rel=1e-14)
-    assert (p.kappa is None) == (g >= omega_bar)
 
 
 def test_field_frequencies():
