@@ -377,6 +377,8 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
     there (the free-space closed form raises RegimeError, the lower bound
     ApproximationDomainError) passes with "not applicable" and the
     library's message in its detail; the survival range is still checked.
+    A mode matrix past the memory limit is no failed check but a refused
+    input: its :class:`ValidationError` propagates.
     """
     config = config or RunConfig()
     params = config.make_params()
@@ -415,6 +417,8 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
 
     try:
         matrix = modes.build_matrix(params, spec)
+    except ValidationError:
+        raise  # n_modes past the memory limit: an input, refused with exit 3
     except CavityModelError as exc:
         # keep the named spectrum failures above visible instead of crashing
         results.append(
@@ -487,7 +491,7 @@ def selftest_checks(config: Optional[RunConfig] = None) -> list[CheckResult]:
     check("freespace_consistency", freespace_consistency)
 
     def entropy_flatness():
-        xi, times = 0.3, (0.0, 2.5, 5.0, 50.0, 100.0)
+        xi, times = config.xi, (0.0, 2.5, 5.0, 50.0, 100.0)
         sums = evolution.row_norms(matrix.entries, spec.omegas, 0, times)
         std = float(bipartite.rank_two_entropy(xi, sums).std())
         defect = float(np.max(xi * np.abs(sums - 1.0)))

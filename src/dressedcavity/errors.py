@@ -31,7 +31,8 @@ class ApproximationDomainError(CavityModelError):
 
 
 class SpectrumSolverError(CavityModelError):
-    """Root bracketing or ordering failed; the message names the branch."""
+    """A solved root is not strictly inside its cotangent branch; the
+    message names the branch."""
 
 
 class NearResonanceError(CavityModelError):

@@ -47,7 +47,8 @@ One check each refuses a row or matrix whose columns do not pair with the
 roots (``_check_pair``, :class:`ConsistencyError`), a mu outside 0..N
 (``_checked_mu``, :class:`ValidationError`), and ``params._checked_times``
 a time argument that is not real or has two axes (:class:`ValidationError`)
-or is not finite (:class:`ApproximationDomainError`).
+or is not finite, or takes a phase Omega t past 2^52 rad
+(:class:`ApproximationDomainError`).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _phase_sum(omegas: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     against 0.11 for the direct sum
     (``test_phase_sum_matches_long_double_reference``).
     """
-    times = _checked_times(times)
+    times = _checked_times(times, omegas)
     n = times.size
     b, h = 1, 0.0
     if n > 2:
@@ -147,9 +148,10 @@ def amplitude_row(
     Negative t is accepted: f_mu_nu(-t) = conj(f_mu_nu(t)).
     """
     _check_pair(matrix.entries, spectrum.omegas, 2)
+    times = _checked_times(t, spectrum.omegas)
     if np.ndim(t) > 0:
         raise ValidationError(f"amplitude_row takes one time, got shape {np.shape(t)}")
-    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, _checked_times(t))
+    re, im = _row_parts(matrix.entries, spectrum.omegas, mu, times)
     return re[:, 0] + 1j * im[:, 0]
 
 
@@ -175,7 +177,7 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
     """
     _check_pair(entries, omegas, 2)
     _checked_mu(entries, mu)  # also on an empty grid, which _row_parts never sees
-    times = _checked_times(times)
+    times = _checked_times(times, omegas)
     sums = np.empty(times.size)
     for i in range(0, times.size, _TIME_CHUNK):
         yr, yi = _row_parts(entries, omegas, mu, times[i : i + _TIME_CHUNK])
@@ -185,9 +187,9 @@ def row_norms(entries: np.ndarray, omegas: np.ndarray, mu: int, times) -> np.nda
 
 def unitarity_defect(matrix: ModeMatrix, spectrum: Spectrum, mu: int, times) -> float:
     """max over a non-empty grid of |1 - sum_nu |f_mu_nu(t)|^2|."""
-    if np.size(times) == 0:
-        raise ValidationError("times must hold at least one time")
     sums = row_norms(matrix.entries, spectrum.omegas, mu, times)
+    if sums.size == 0:
+        raise ValidationError("times must hold at least one time")
     return float(np.abs(1.0 - sums).max())
 
 

@@ -295,11 +295,13 @@ def _fourier_semi_infinite(
     return (complex(total.real) if t == 0.0 else total), achieved
 
 
-def _checked_times(t, positive: bool = False) -> np.ndarray:
-    """The times of ``params._checked_times``, refused with
-    :class:`ApproximationDomainError` unless every t is >= 0, or > 0 with
-    ``positive``: the free-space domain."""
-    times = _finite_times(t)
+def _checked_times(
+    t, positive: bool = False, rates: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """The times of ``params._checked_times`` at phase rates ``rates``,
+    refused with :class:`ApproximationDomainError` unless every t is >= 0,
+    or > 0 with ``positive``: the free-space domain."""
+    times = _finite_times(t, rates)
     if np.count_nonzero(times > 0.0 if positive else times >= 0.0) < times.size:
         raise ApproximationDomainError(
             "asymptotic form needs t > 0" if positive else "t must be non-negative"
@@ -340,7 +342,7 @@ def _numeric_with_error(
             f"tolerance must be finite and leave the integral at least "
             f"{_ROUNDOFF:.3g} of f_00, its roundoff floor"
         )
-    if times.max(initial=0.0) * shoulders[-1] > _MAX_PHASE:
+    if float(times.max(initial=0.0)) * shoulders[-1] > _MAX_PHASE:
         raise ApproximationDomainError(
             f"quadrature needs t x0 <= {_MAX_PHASE:.0e} rad (x0 = "
             f"{shoulders[-1]:g}); at weak coupling use freespace_f00_closed"
@@ -454,7 +456,7 @@ def freespace_f00_closed(params: SystemParams, t):
     kappa = _weak_kappa(
         params, "no closed form for g >= omega_bar; use freespace_f00_numeric"
     )
-    times = _checked_times(t)
+    times = _checked_times(t, rates=params.omega_bar)  # |z| = omega_bar t
     g = params.g
     re = np.exp(-g * times) * (
         np.cos(kappa * times) - (g / kappa) * np.sin(kappa * times)
@@ -472,7 +474,7 @@ def freespace_survival_asymptotic(params: SystemParams, t):
     at t = 0, and at any t > 0 where the t^(-6) term is not a finite float.
     """
     _weak_kappa(params, "no asymptotic form for g >= omega_bar")
-    times = _checked_times(t, positive=True)
+    times = _checked_times(t, positive=True, rates=params.omega_bar)
     w = params.omega_bar
     g = params.g
     osc = np.exp(-2.0 * g * times) * (

@@ -706,7 +706,7 @@ def raw_defects(params: SystemParams, spectrum: Spectrum, times) -> RawDefects:
     spacing included (:func:`_check_columns`), after the time argument: an
     empty grid and what ``params._checked_times`` refuses are refused first.
     """
-    times = _checked_times(times)
+    times = _checked_times(times, spectrum.omegas)
     if times.size == 0:
         raise ValidationError("times must hold at least one time")
     atom, norm_sq, _, gram_rows = _closed_gram(params, spectrum)

@@ -24,6 +24,10 @@ from .errors import ApproximationDomainError, ValidationError
 #: Default number of retained field modes when the caller does not choose.
 DEFAULT_N_MODES = 1000
 
+#: largest phase Omega*t a time may give: from 2^52 rad on, one ulp of
+#: the phase is a radian or more, and its cosine carries no digit
+_PHASE_LIMIT = 2.0**52
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -46,24 +50,37 @@ class SystemParams:
         return self.delta_omega * np.arange(1, self.n_modes + 1, dtype=float)
 
 
-def _checked_times(t) -> np.ndarray:
+def _checked_times(t, rates: float | np.ndarray = 0.0) -> np.ndarray:
     """``t``, a real scalar or a real grid of one axis, as a float array of
     one axis: the one conversion of every time argument of the library.
 
-    Any other t (complex, ``None``, two axes) raises :class:`ValidationError`
-    before a cast to float could drop an imaginary part, and a t that is
-    not finite :class:`ApproximationDomainError`.  An empty grid passes:
-    each caller decides what it means.
+    Any other t (complex, ``None``, a string, two axes, a ragged nest of
+    sequences) raises :class:`ValidationError` before a cast to float
+    could drop an imaginary part.  A t that is not finite, or whose phase
+    Omega |t| passes ``_PHASE_LIMIT`` for one of the angular frequencies
+    ``rates`` that the caller multiplies the times by, raises
+    :class:`ApproximationDomainError`.  An empty grid passes: each caller
+    decides what it means.
     """
-    times = np.asarray(t)
+    expected = "times must be a real scalar or a real grid of one axis"
+    try:
+        times = np.asarray(t)
+    except ValueError:  # numpy finds no one shape for a ragged nest
+        raise ValidationError(f"{expected}, got a ragged sequence") from None
     if times.dtype.kind not in "biuf" or times.ndim > 1:
         raise ValidationError(
-            "times must be a real scalar or a real grid of one axis, got "
-            f"shape {times.shape} of dtype {times.dtype}"
+            f"{expected}, got shape {times.shape} of dtype {times.dtype}"
         )
     times = np.array(times, dtype=float, ndmin=1)
     if np.count_nonzero(np.isfinite(times)) < times.size:
         raise ApproximationDomainError("t must be finite")
+    fastest = float(np.abs(rates).max(initial=0.0))
+    longest = float(np.abs(times).max(initial=0.0))
+    if fastest * longest > _PHASE_LIMIT:  # python floats: inf, not a warning
+        raise ApproximationDomainError(
+            f"t = {longest:g} takes the phase Omega t past 2^52 rad, where "
+            "one ulp of it is a radian"
+        )
     return times
 
 

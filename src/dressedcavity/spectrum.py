@@ -9,12 +9,16 @@ The code works in units with c = 1, where ``params.radius`` is
 R/c = pi/delta_omega.  There is exactly one root per cotangent branch: the
 left side falls from +inf to -inf across each open interval
 (r*delta_omega, (r+1)*delta_omega) while the right side is continuous
-there, so safeguarded bisection inside each branch is an exhaustive and
-derivative-free solver.  Branches are indexed r = 0..n_modes; interlacing
-r*delta_omega < Omega_r < (r+1)*delta_omega holds for every root (branch
-0 starts at 0).  A :class:`Spectrum` holds these roots and their
-residuals only; the first-order small-cavity values of
-:func:`approx_spectrum_small_cavity` are a plain frequency array.
+there.  The mismatch, left side minus right, is therefore +inf at each
+lower end and -inf at each upper one; on branch 0 the two 1/(R*Omega)
+poles cancel to leave omega_bar^2/(2g*Omega), still +inf at 0.  So
+bisection of each branch from its exact ends, by the sign of the mismatch
+at the midpoint alone, is an exhaustive and derivative-free solver.
+Branches are indexed r = 0..n_modes; interlacing
+r*delta_omega < Omega_r < (r+1)*delta_omega holds for every root.  A
+:class:`Spectrum` holds these roots and their residuals only; the
+first-order small-cavity values of :func:`approx_spectrum_small_cavity`
+are a plain frequency array.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ import numpy as np
 
 from .errors import ApproximationDomainError, SpectrumSolverError
 from .params import SystemParams
-
-#: fraction of a branch width kept clear of each cotangent pole
-_POLE_INSET = 1e-9
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -78,62 +78,38 @@ def newton_residuals(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
 def solve_spectrum(params: SystemParams) -> Spectrum:
     """Solve all n_modes+1 branches of the eigenfrequency equation.
 
-    Bisection runs on every branch simultaneously until the brackets
+    Bisection runs on every branch simultaneously from its exact ends
+    r*delta_omega and (r+1)*delta_omega, keeping at each step the half
+    that the sign of the mismatch at the midpoint names: the mismatch is
+    +inf at each branch's lower end and -inf at its upper one, so no end
+    is ever evaluated and no bracket needs checking.  The brackets
     collapse to machine width (at most a couple of ulps of the root), far
-    inside the 1e-12 relative-width contract.  Brackets start 1e-9 of a
-    branch width inside each pole and are shrunk further if a pole
-    evaluation still misbehaves.
+    inside the 1e-12 relative-width contract.
 
     Raises
     ------
     SpectrumSolverError
-        If a branch fails to show a sign change after pole shrinking, or
-        if the solved roots violate ordering or interlacing.
+        Naming the first branch whose root did not land strictly inside
+        it, as it can where the root lies within an ulp of a pole.
     """
-    n = params.n_modes
-    dw = params.delta_omega
-    r = np.arange(n + 1, dtype=float)
-    lo = r * dw
-    hi = (r + 1.0) * dw
-
-    inset = _POLE_INSET * dw
-    for _ in range(3):
-        a = lo + inset
-        b = hi - inset
-        fa = _mismatch_raw(params, a)
-        fb = _mismatch_raw(params, b)
-        bad = ~np.isfinite(fa) | ~np.isfinite(fb) | (np.sign(fa) == np.sign(fb))
-        if not np.any(bad):
-            break
-        inset *= 10.0
-    else:
-        branch = int(np.flatnonzero(bad)[0])
-        raise SpectrumSolverError(
-            f"no sign change in branch {branch} after pole shrinking"
-        )
-
-    # cot falls from +inf to -inf across the branch, so fa > 0 > fb.
+    r = np.arange(params.n_modes + 1, dtype=float)
+    lo = r * params.delta_omega
+    hi = (r + 1.0) * params.delta_omega
+    a, b = lo, hi
     for _ in range(120):
         mid = 0.5 * (a + b)
-        fm = _mismatch_raw(params, mid)
-        take_left = (fm > 0.0) == (fa > 0.0)
-        a = np.where(take_left, mid, a)
-        fa = np.where(take_left, fm, fa)
-        b = np.where(take_left, b, mid)
+        left_of_root = _mismatch_raw(params, mid) > 0.0
+        a = np.where(left_of_root, mid, a)
+        b = np.where(left_of_root, b, mid)
         if np.all((b - a) <= 2.0 * np.spacing(b)):
             break
 
     omegas = 0.5 * (a + b)
-    residuals = newton_residuals(params, omegas)
-
-    if np.any(omegas <= 0.0) or np.any(np.diff(omegas) <= 0.0):
-        raise SpectrumSolverError("solved roots are not strictly increasing")
     interior = (omegas > lo) & (omegas < hi)
     if not np.all(interior):
         branch = int(np.flatnonzero(~interior)[0])
         raise SpectrumSolverError(f"root escaped branch {branch}")
-
-    return Spectrum(omegas=omegas, residuals=residuals)
+    return Spectrum(omegas=omegas, residuals=newton_residuals(params, omegas))
 
 
 def require_small_cavity_domain(params: SystemParams) -> None:

@@ -668,6 +668,21 @@ def test_selftest_runs_the_dense_entropy_check_once_at_small_n(monkeypatch):
     assert len(calls) == 1 and calls[0] <= 100
 
 
+@pytest.mark.parametrize("xi", [0.01, 0.99])
+def test_selftest_checks_the_entropy_at_the_configured_weight(monkeypatch, xi):
+    weights = []
+    original = cli.bipartite.entropy_time_independence_check
+
+    def spy(params, state, *args, **kwargs):
+        weights.append(state.xi)
+        return original(params, state, *args, **kwargs)
+
+    monkeypatch.setattr(cli.bipartite, "entropy_time_independence_check", spy)
+    results = cli.selftest_checks(cli.RunConfig(n_modes=100, xi=xi))
+    assert weights == [xi]
+    assert all(r.passed for r in results if r.name == "entropy_flatness")
+
+
 def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("file in the way")

@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dressedcavity as dc
 from dressedcavity import evolution, freespace
 from dressedcavity.errors import (
     ApproximationDomainError,
+    CavityModelError,
     ConsistencyError,
     ValidationError,
 )
@@ -199,23 +202,37 @@ def test_a_time_that_is_not_finite_is_refused(
             call()
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        "atom_amplitude",
-        "survival_probability",
-        "small_cavity_amplitude_first_order",
-        "raw_defects",
-        "entropy_time_independence_check",
-        "row_norms",
-        "unitarity_defect",
-        "amplitude_row",
-        "freespace_f00_numeric",
-        "freespace_f00_closed",
-        "freespace_survival_asymptotic",
-        "g_integral",
-    ],
-)
+def _time_entry_points(params, m, spec):
+    """The library's entry points that take a time argument, by name, each
+    as a call of that argument alone."""
+    return {
+        "atom_amplitude": lambda t: dc.atom_amplitude(m.entries[0], spec, t),
+        "survival_probability": lambda t: dc.survival_probability(m, spec, t),
+        "small_cavity_amplitude_first_order": lambda t: (
+            dc.small_cavity_amplitude_first_order(params, t, 100)
+        ),
+        "raw_defects": lambda t: dc.raw_defects(params, spec, t),
+        "entropy_time_independence_check": lambda t: (
+            dc.entropy_time_independence_check(
+                params, dc.EntangledStateConfig(xi=0.3), t, m, spec
+            )
+        ),
+        "row_norms": lambda t: dc.row_norms(m.entries, spec.omegas, 0, t),
+        "unitarity_defect": lambda t: dc.unitarity_defect(m, spec, 0, t),
+        "amplitude_row": lambda t: dc.amplitude_row(m, spec, 0, t),
+        "freespace_f00_numeric": lambda t: dc.freespace_f00_numeric(params, t),
+        "freespace_f00_closed": lambda t: dc.freespace_f00_closed(params, t),
+        "freespace_survival_asymptotic": lambda t: (
+            dc.freespace_survival_asymptotic(params, t)
+        ),
+        "g_integral": lambda t: dc.g_integral(params, t),
+    }
+
+
+TIME_ENTRY_POINTS = list(_time_entry_points(None, None, None))
+
+
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
 def test_a_grid_of_two_axes_is_refused(
     entry, monkeypatch, small_params, small_matrix, small_spectrum
 ):
@@ -229,29 +246,7 @@ def test_a_grid_of_two_axes_is_refused(
         raise AssertionError("the times are checked before any quadrature")
 
     monkeypatch.setattr(freespace, "quad", no_quadrature)
-    m, spec = small_matrix, small_spectrum
-    calls = {
-        "atom_amplitude": lambda t: dc.atom_amplitude(m.entries[0], spec, t),
-        "survival_probability": lambda t: dc.survival_probability(m, spec, t),
-        "small_cavity_amplitude_first_order": lambda t: (
-            dc.small_cavity_amplitude_first_order(small_params, t, 100)
-        ),
-        "raw_defects": lambda t: dc.raw_defects(small_params, spec, t),
-        "entropy_time_independence_check": lambda t: (
-            dc.entropy_time_independence_check(
-                small_params, dc.EntangledStateConfig(xi=0.3), t, m, spec
-            )
-        ),
-        "row_norms": lambda t: dc.row_norms(m.entries, spec.omegas, 0, t),
-        "unitarity_defect": lambda t: dc.unitarity_defect(m, spec, 0, t),
-        "amplitude_row": lambda t: dc.amplitude_row(m, spec, 0, t),
-        "freespace_f00_numeric": lambda t: dc.freespace_f00_numeric(small_params, t),
-        "freespace_f00_closed": lambda t: dc.freespace_f00_closed(small_params, t),
-        "freespace_survival_asymptotic": lambda t: (
-            dc.freespace_survival_asymptotic(small_params, t)
-        ),
-        "g_integral": lambda t: dc.g_integral(small_params, t),
-    }
+    calls = _time_entry_points(small_params, small_matrix, small_spectrum)
     refused = [
         (np.linspace(0.0, 5.0, 6).reshape(2, 3), ValidationError, r"shape \(2, 3\)"),
         (1j, ValidationError, "dtype complex128"),
@@ -267,6 +262,66 @@ def test_a_grid_of_two_axes_is_refused(
     for t, error, message in refused:
         with pytest.raises(error, match=message):
             calls[entry](t)
+
+
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
+def test_a_time_past_the_phase_limit_is_refused(
+    entry, small_params, small_matrix, small_spectrum
+):
+    """From 2^52 rad on, an ulp of a phase Omega t is a radian: such a t,
+    alone or in a grid, is refused by name, not left to overflow or to
+    cosines of no digit.  The quadrature refuses it by its own t x0 bound."""
+    calls = _time_entry_points(small_params, small_matrix, small_spectrum)
+    times = [1e300] if entry == "amplitude_row" else [1e300, [0.0, 1e300]]
+    quadrature = entry in ("freespace_f00_numeric", "g_integral")
+    for t in times:
+        with pytest.raises(
+            ApproximationDomainError, match="t x0" if quadrature else r"2\^52 rad"
+        ):
+            calls[entry](t)
+
+
+_MAX = float(np.finfo(float).max)
+_REAL = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 1e300, -1e300, _MAX, -_MAX]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+_NOT_REAL = st.one_of(st.text(max_size=3), st.none(), st.complex_numbers())
+_TIMES = st.one_of(
+    _REAL,
+    _NOT_REAL,
+    st.lists(_REAL, max_size=4),
+    st.lists(_REAL, max_size=4).map(tuple),
+    st.lists(st.one_of(_REAL, _NOT_REAL), min_size=1, max_size=4),
+    st.lists(st.lists(_REAL, max_size=3), min_size=1, max_size=3),  # ragged too
+    st.lists(_REAL, min_size=1, max_size=3).map(lambda v: np.array([v, v])),
+    st.sampled_from([[], (), np.empty(0), np.empty((0, 2))]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=1500)
+@given(entry=st.sampled_from(TIME_ENTRY_POINTS), t=_TIMES)
+def test_a_time_entry_point_returns_or_raises_a_model_error(
+    entry, t, small_params, small_matrix, small_spectrum
+):
+    """Any t, real or not, scalar, sequence, ragged or of two axes, either
+    gives a value or a ``CavityModelError``: never a raw Python or numpy
+    error, nor a numpy warning (an error under this suite's filter).  The
+    quadrature is stubbed by one evaluation of its integrand per panel."""
+
+    def one_point_per_panel(h, intervals, tol):
+        h(np.mean(intervals, axis=1))
+        return 0j, 0.0
+
+    calls = _time_entry_points(small_params, small_matrix, small_spectrum)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(freespace, "quad", one_point_per_panel)
+        try:
+            calls[entry](t)
+        except CavityModelError:
+            pass
 
 
 def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectrum):

@@ -536,6 +536,16 @@ def test_cli_exits_3_with_one_line_past_the_memory_limit(monkeypatch, tmp_path, 
     assert err.startswith("error: n_modes = 50 needs ") and err.count("\n") == 1
 
 
+def test_selftest_exits_3_with_one_line_past_the_memory_limit(
+    monkeypatch, tmp_path, capsys
+):
+    """The refusal is an input the process cannot hold, not a failed check."""
+    _refuse_square(monkeypatch, 50, 1)
+    assert cli.main(["selftest", "--n-modes", "50", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_modes = 50 needs ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "g, delta",
     [(0.5, 1e-3), (0.5, 0.1), (0.5, 3.0), (0.5, 1000.0), (0.05, 1000.0), (0.5, 1.0)],

@@ -59,6 +59,24 @@ def test_high_mode_frequencies_approach_bare_grid(
     assert offsets[-1] < offsets[0]
 
 
+@pytest.mark.parametrize(
+    "delta, n_modes", [(1e-6, 700), (1e-5, 7000), (1e-4, 70_000)]
+)
+def test_small_cavities_solve_every_branch(delta, n_modes):
+    """The mismatch is +inf at every branch's lower end (on branch 0 too,
+    where it goes like omega_bar^2/(2 g Omega)) and -inf at its upper end,
+    so bisecting from the exact ends by the sign at the midpoint finds each
+    root, however close it sits to its lower pole: about 2 delta/(pi r)
+    branch widths here, down to 1e-9 of a width.  The roots are those the
+    mode matrix accepts."""
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n_modes)
+    spec = dc.solve_spectrum(p)
+    assert spec.n_modes == n_modes
+    assert dc.check_interlacing(p, spec)
+    residual = dc.newton_residuals(p, spec.omegas).max()
+    assert residual <= dc.modes._RESIDUAL_BOUND * p.delta_omega
+
+
 def test_interlacing_checker_spots_corruption(baseline_params, baseline_spectrum):
     bad = np.array(baseline_spectrum.omegas)
     bad[5] += baseline_params.delta_omega  # push the root out of its branch
