@@ -235,12 +235,15 @@ def entropy_time_independence_check(
     N <= 100 only.  Deviations are reported, never raised.  ``time_grid``
     goes to ``params._checked_times`` as it is (a scalar is a one-point
     grid); what that check refuses, and an empty grid, fail before any work.
+    A phase Omega |t| past its limit fails once the roots are known,
+    before the mode matrix is built.
     """
     times = _checked_times(time_grid)
     if times.size == 0:
         raise ValidationError("time_grid must hold at least one time")
     if spectrum is None:
         spectrum = solve_spectrum(params)
+    _checked_times(times, spectrum.omegas)
     if matrix is None:
         matrix = build_matrix(params, spectrum)
     target = np.sort([1.0 - config.xi, config.xi])

@@ -13,7 +13,8 @@ and then applies a symmetric (Loewdin) orthogonalization, which is the
 minimal-change correction restoring the exact orthonormality the
 evolution stage relies on.  The Loewdin factor X (X^T X)^(-1/2) is the
 orthogonal polar factor of the rescaled matrix X, computed by
-Newton-Schulz steps with E = X^T X - I.  The step schedule:
+Newton-Schulz steps with E = X^T X - I.  The step schedule, which is the
+body of :func:`build_matrix`:
 
 1. The first E is the closed-form Gram (below), and the first iterate
    X (I - E_0/2) is in closed form too (below) while max |bracket| stays
@@ -29,9 +30,10 @@ Newton-Schulz steps with E = X^T X - I.  The step schedule:
    is sqrt(e^2 - ||T||_F^2), passes the second-order bound, the final
    step is the third-order X <- X (I - E/2 + 3E^2/8) less 3R^2/8 (below
    roundoff, as r is).
-3. Else, if ||E||_F has not fallen since the last step, the columns are
-   (nearly) dependent and the build is refused; otherwise a second-order
-   step follows, up to ``_POLAR_MAX_STEPS`` steps in all.
+3. Else, any split dropped, the build is refused as (nearly) dependent
+   columns if ||E||_F has not fallen since the last step; otherwise a
+   second-order step follows and the next starts afresh at 2, up to
+   ``_POLAR_MAX_STEPS`` steps in all.
 
 A final step adds its correction to X instead of forming the product:
 X (-E/2), or X (-R/2) after the split, in float32, and the rest of the
@@ -44,16 +46,7 @@ costs one float64 Gram product and one float32 step product, which runs
 about twice as fast as a float64 one.  The deflated finish adds three
 thin products E Q (N x 8) and O(N^2) passes.  Each step before the final
 one costs a Gram and a float64 step product.  The tests hold the result
-to the eigendecomposition form of the same factor within 1e-12 per
-entry, and to the all-float64 final step within 5e-15.  The build holds
-two (N+1)^2 arrays (the iterate, and E) and one ``_PRODUCT_ROWS``-row
-block at any step count: every step product is written over the iterate
-a row block at a time, the float32 E (or R) is cast into the first half
-of E's own buffer, the deflation's thin arrays live in the block, and X
-is rebuilt in row blocks for the shift.  Under tracemalloc the peak at
-N = 3000 is 2.186 (N+1)^2 arrays (150 MiB), 2.178 when the first iterate
-is a product.  The raw truncation defects are kept on the result as
-diagnostics.
+to the all-float64 final step within 5e-15 per entry.
 
 The survival needs only the atom row T[0, :] = (X^T X)^(-1/2) X[0, :].
 :func:`atom_row` gets it by Lanczos matrix-vector products on the same
@@ -179,16 +172,21 @@ def atom_element(params: SystemParams, omega_r):
                        + 4 g^2 Omega_r^2)
 
     The radicand is positive for every Omega_r > 0 of a valid parameter
-    set; a non-positive value signals a corrupted input and raises
-    :class:`NumericDomainError`.
+    set; a non-positive value signals a corrupted input, and an inf or
+    NaN one (Omega_r^4 overflows past Omega_r ~ 1e77) an input out of the
+    float range: both raise :class:`NumericDomainError`.
     """
     omega_r = np.asarray(omega_r, dtype=float)
     eta2 = params.eta**2
     w2 = params.omega_bar**2
-    o2 = omega_r**2
-    radicand = (o2 - w2) ** 2 + 0.5 * eta2 * (3.0 * o2 - w2) + 4.0 * params.g**2 * o2
-    if np.any(radicand <= 0.0):
-        raise NumericDomainError("non-positive radicand in atom element")
+    with np.errstate(over="ignore", invalid="ignore"):
+        o2 = omega_r**2
+        radicand = (o2 - w2) ** 2 + 0.5 * eta2 * (3.0 * o2 - w2)
+        radicand += 4.0 * params.g**2 * o2
+    if not np.all((radicand > 0.0) & (radicand < np.inf)):  # NaN fails too
+        raise NumericDomainError(
+            "atom element radicand is not a finite positive float"
+        )
     value = params.eta * omega_r / np.sqrt(radicand)
     return value if value.ndim else float(value)
 
@@ -260,7 +258,8 @@ def _check_columns(params: SystemParams, spectrum: Spectrum) -> None:
             f"spectrum has {spectrum.n_modes} field modes, params expect "
             f"{params.n_modes}"
         )
-    if _nearest_resonance(params.field_frequencies() ** 2, spectrum.omegas**2) < (
+    # <= fails equal squares where delta_omega^2 underflows to 0
+    if _nearest_resonance(params.field_frequencies() ** 2, spectrum.omegas**2) <= (
         _RESONANCE_FLOOR * params.delta_omega**2
     ):
         raise NearResonanceError(
@@ -319,7 +318,8 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
     ``gram_rows(scale, out=None)`` yields ``(rows, diagonal, block)``: each
     ``_BLOCK_ROWS`` rows of scale_r scale_s G_rs / (a_r a_s) (module
     docstring), into those rows of ``out`` if given, with the block's
-    ``diagonal`` set to 0.  Refuses what :func:`raw_defects` refuses.
+    ``diagonal`` set to 0.  Refuses what :func:`raw_defects` refuses, and
+    sums or norms out of the float range with :class:`NumericDomainError`.
     """
     _check_columns(params, spectrum)
     atom = atom_element(params, spectrum.omegas)
@@ -329,13 +329,20 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
     # S_r - N = x_r sum_k 1/(omega_k^2 - x_r) and S'_r, row block by row block
     shifted = np.empty(roots_sq.size)
     slope = np.empty(roots_sq.size)
-    for start in range(0, roots_sq.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        inverse = np.subtract.outer(roots_sq[rows], field_sq)
-        np.divide(1.0, inverse, out=inverse)  # 1/(x_r - omega_k^2)
-        shifted[rows] = -roots_sq[rows] * inverse.sum(axis=1)
-        inverse *= inverse
-        slope[rows] = inverse @ field_sq
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for start in range(0, roots_sq.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            inverse = np.subtract.outer(roots_sq[rows], field_sq)
+            np.divide(1.0, inverse, out=inverse)  # 1/(x_r - omega_k^2)
+            shifted[rows] = -roots_sq[rows] * inverse.sum(axis=1)
+            inverse *= inverse
+            slope[rows] = inverse @ field_sq
+        norm_sq = atom**2 * (1.0 + eta2 * slope)
+    positive = (norm_sq > 0.0) & (norm_sq < np.inf)  # NaN fails both
+    if not (positive.all() and np.isfinite(shifted).all()):
+        raise NumericDomainError(
+            "closed-form column sums leave the float range for these roots"
+        )
 
     def gram_rows(scale, out=None):
         for start in range(0, roots_sq.size, _BLOCK_ROWS):
@@ -353,7 +360,7 @@ def _closed_gram(params: SystemParams, spectrum: Spectrum):
             block[diagonal] = 0.0
             yield rows, diagonal, block
 
-    return atom, atom**2 * (1.0 + eta2 * slope), shifted, gram_rows
+    return atom, norm_sq, shifted, gram_rows
 
 
 def _first_defect(gram_rows, u, out):
@@ -514,20 +521,32 @@ def _final_in_place(x: np.ndarray, e: np.ndarray, block: np.ndarray, t) -> None:
             rows += correction
 
 
-def _polar_factor(params: SystemParams, spectrum: Spectrum):
-    """Orthogonal polar factor of the rescaled matrix X by the Newton-Schulz
-    schedule of the module docstring, with X's atom row u, the raw column
-    norms it is scaled by, its largest off-diagonal Gram entry, the step
-    count, the final step's order and whether the first iterate was closed
-    form.
+def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
+    """Assemble, renormalize and orthogonalize the transformation matrix.
+
+    Requires the solved spectrum of the same parameters.  Column
+    rescaling restores the normalization sum over bare oscillators
+    exactly; the Loewdin step then removes the residual O(1/N) column
+    overlaps so that the propagated amplitudes conserve probability to
+    machine precision at any truncation.  The Loewdin factor comes from
+    the Newton-Schulz schedule of the module docstring and agrees with
+    its eigendecomposition form to 1e-12 per entry; the result repeats to
+    the bit.  Roots are refused as in :func:`assemble_raw_matrix`, and
+    (nearly) linearly dependent columns raise :class:`NumericDomainError`.
+    The raw defects, step count, final order (3 for the deflated
+    third-order finish) and how the first iterate was formed are recorded
+    on the result, and the positive atom row is kept.
 
     X is made here, not passed in (an argument stays alive until the call
-    returns), scaled by the closed-form norms that also give E_0, and every
-    step writes over it.  The iterate x, E and one ``_PRODUCT_ROWS``-row
-    block are held.  An adequate build costs one Gram product and one
-    float32 step product (:func:`_final_in_place`); float32 touches only a
-    remainder of norm <= 1.7e-8.
+    returns), and every step writes over it, a row block at a time.  The
+    build holds two (N+1)^2 arrays (the iterate, and E, whose own buffer
+    takes the float32 E or R) and one ``_PRODUCT_ROWS``-row block (the
+    deflation's thin arrays too): a tracemalloc peak of 2.186 (N+1)^2
+    arrays at N = 3000, 2.178 when the first iterate is a product.  The
+    shift max |T - X| rebuilds X from its atom row u in one O(N^2) pass,
+    ``_BLOCK_ROWS`` rows at a time, after E and the block are let go.
     """
+    # symmetric orthogonalization: T <- X (X^T X)^(-1/2), written over X
     x, raw_norms, shifted, gram_rows = _rescaled_matrix(params, spectrum)
     u = x[0].copy()
     defect = _square(params)
@@ -542,15 +561,14 @@ def _polar_factor(params: SystemParams, spectrum: Spectrum):
         np.matmul(x.T, x, out=defect)
         defect.flat[:: defect.shape[0] + 1] -= 1.0
         e = float(np.linalg.norm(defect))
+        t, order = None, 2
         if _second_order_final(e):
-            _final_in_place(x, defect, block, None)
-            return x, u, raw_norms, raw_offdiag, steps, 2, closed
+            break
         if 0.625 * e**3 * (1.0 + 0.375 * e + 0.225 * e * e) < _ROUNDOFF:
             # ||T||_2 <= ||E||_2 <= e: Q T Q^T passes the third-order bound too
-            t = _split(defect, block)
+            t, order = _split(defect, block), 3
             if _second_order_final(np.sqrt(max(e * e - np.vdot(t, t), 0.0))):
-                _final_in_place(x, defect, block, t)
-                return x, u, raw_norms, raw_offdiag, steps, 3, closed
+                break
         if not e < previous:
             raise NumericDomainError(
                 f"Loewdin iteration stopped converging at ||X^T X - I||_F = "
@@ -558,57 +576,32 @@ def _polar_factor(params: SystemParams, spectrum: Spectrum):
             )
         previous = e
         _second_order_in_place(x, defect, block)
-    raise NumericDomainError(
-        f"Loewdin iteration did not converge in {_POLAR_MAX_STEPS} steps "
-        f"(||X^T X - I||_F = {previous:.3e})"
-    )
-
-
-def build_matrix(params: SystemParams, spectrum: Spectrum) -> ModeMatrix:
-    """Assemble, renormalize and orthogonalize the transformation matrix.
-
-    Requires the solved spectrum of the same parameters.  Column
-    rescaling restores the normalization sum over bare oscillators
-    exactly; the Loewdin step then removes the residual O(1/N) column
-    overlaps so that the propagated amplitudes conserve probability to
-    machine precision at any truncation.  The Loewdin factor comes from
-    the Newton-Schulz schedule of the module docstring
-    (:func:`_polar_factor`) and agrees with its eigendecomposition form to
-    1e-12 per entry.  An adequate truncation costs one Gram product and one
-    float32 step product, which touches only a remainder of norm <= 1.7e-8;
-    the result repeats to the bit.  Roots are refused as in
-    :func:`assemble_raw_matrix`, and (nearly) linearly dependent columns
-    raise :class:`NumericDomainError`.  The raw defects, step count, final
-    order (3 for the deflated third-order finish) and how the first
-    iterate was formed are recorded on the result, and the positive atom
-    row is kept.  At most two (N+1)^2 arrays and one ``_PRODUCT_ROWS``-row
-    block are held (a tracemalloc peak of 2.186 (N+1)^2 arrays at
-    N = 3000); the shift max |T - X| rebuilds X in one O(N^2) pass,
-    ``_BLOCK_ROWS`` rows at a time, to the same bits.
-    """
-    # symmetric orthogonalization: T <- T (T^T T)^(-1/2)
-    entries, u, raw_norms, raw_offdiag, steps, order, closed = _polar_factor(
-        params, spectrum
-    )
+    else:
+        raise NumericDomainError(
+            f"Loewdin iteration did not converge in {_POLAR_MAX_STEPS} steps "
+            f"(||X^T X - I||_F = {previous:.3e})"
+        )
+    _final_in_place(x, defect, block, t)
+    del defect, block
 
     # the shift max |T - X|, with X rebuilt from u a block of rows at a time
     omegas, omega_k = spectrum.omegas, params.field_frequencies()
-    shift = _max_abs(entries[0] - u)
+    shift = _max_abs(x[0] - u)
     block = np.empty((_BLOCK_ROWS, omegas.size))
     for start in range(0, omega_k.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        field = entries[1:][rows]
-        x = _field_rows(params, omega_k[rows], omegas, u, block[: len(field)])
-        shift = max(shift, _max_abs(np.subtract(field, x, out=x)))
+        field = x[1:][rows]
+        rebuilt = _field_rows(params, omega_k[rows], omegas, u, block[: len(field)])
+        shift = max(shift, _max_abs(np.subtract(field, rebuilt, out=rebuilt)))
 
-    flip = entries[0, :] < 0.0
+    flip = x[0, :] < 0.0
     if np.any(flip):  # Loewdin preserves signs in practice; keep it guaranteed
-        entries[:, flip] *= -1.0
-    if np.any(entries[0, :] <= 0.0):
+        x[:, flip] *= -1.0
+    if np.any(x[0, :] <= 0.0):
         raise NumericDomainError("atom-row sign convention could not be enforced")
 
     return ModeMatrix(
-        entries=entries,
+        entries=x,
         raw_column_norms=raw_norms,
         raw_orthogonality_defect=raw_offdiag,
         orthogonalization_shift=shift,

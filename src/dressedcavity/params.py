@@ -84,10 +84,16 @@ def _checked_times(t, rates: float | np.ndarray = 0.0) -> np.ndarray:
     return times
 
 
-def _require_positive(name: str, value: float) -> float:
+def _require_positive(name: str, value: float, **inputs: float) -> float:
+    """``value`` as a float, refused unless finite and positive; a derived
+    scalar names the ``inputs`` it is made from."""
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be strictly positive, got {value!r}")
+        source = ", ".join(f"{key} = {x!r}" for key, x in inputs.items())
+        raise ValidationError(
+            f"{name} must be finite and strictly positive, got {value!r}"
+            + (f" from {source}" if source else "")
+        )
     return value
 
 
@@ -107,7 +113,10 @@ def make_params(
     ------
     ValidationError
         A non-positive or non-finite input, or an ``n_modes`` that is a
-        bool or not integral; the message names the field.
+        bool or not integral; the message names the field.  Also finite
+        positive inputs whose omega_bar^2, g^2, delta_omega, radius or
+        eta^2 overflows to inf or underflows to 0, as omega_bar = 1e155 or
+        delta = 1e-320 do; the message names that scalar and its inputs.
     """
     omega_bar = _require_positive("omega_bar", omega_bar)
     g = _require_positive("g", g)
@@ -118,13 +127,21 @@ def make_params(
         count = None
     if count is None or count < 1:
         raise ValidationError(f"n_modes must be an integer >= 1, got {n_modes!r}")
-    delta_omega = g / delta
+    # each square is a product (a float ** 2 past the float maximum raises
+    # OverflowError, where a product is inf), and each scalar is checked
+    # before the next one divides by it
+    _require_positive("omega_bar^2", omega_bar * omega_bar, omega_bar=omega_bar)
+    _require_positive("g^2", g * g, g=g)
+    delta_omega = _require_positive("delta_omega", g / delta, g=g, delta=delta)
+    radius = _require_positive("radius", math.pi / delta_omega, g=g, delta=delta)
+    eta_sq = 4.0 * g * delta_omega / math.pi
+    _require_positive("eta^2", eta_sq, g=g, delta=delta)
     return SystemParams(
         omega_bar=omega_bar,
         g=g,
-        radius=math.pi / delta_omega,
+        radius=radius,
         n_modes=count,
         delta=delta,
         delta_omega=delta_omega,
-        eta=math.sqrt(4.0 * g * delta_omega / math.pi),
+        eta=math.sqrt(eta_sq),
     )

@@ -31,6 +31,12 @@ import numpy as np
 from .errors import ApproximationDomainError, SpectrumSolverError
 from .params import SystemParams
 
+#: bisection steps per branch.  Resolving a root Omega to two ulps takes
+#: about 51 + log2(delta_omega/Omega) of them: a root 0 below about
+#: 2^-69 delta_omega is not resolved, and its branch is refused.
+_HALVINGS = 120
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ordered normal-mode frequencies with per-root accuracy estimates.
@@ -70,9 +76,16 @@ def _mismatch_derivative(params: SystemParams, omega: np.ndarray) -> np.ndarray:
 
 
 def newton_residuals(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
-    """|F/F'| at the given frequencies: estimated distance to the true root."""
+    """|F/F'| at the given frequencies: estimated distance to the true root.
+
+    Where F or F' leaves the float range, or F' is 0, the residual is inf
+    or NaN, without a numpy warning: the caller decides.
+    """
     omegas = np.asarray(omegas, dtype=float)
-    return np.abs(_mismatch_raw(params, omegas) / _mismatch_derivative(params, omegas))
+    with np.errstate(all="ignore"):
+        return np.abs(
+            _mismatch_raw(params, omegas) / _mismatch_derivative(params, omegas)
+        )
 
 
 def solve_spectrum(params: SystemParams) -> Spectrum:
@@ -86,30 +99,44 @@ def solve_spectrum(params: SystemParams) -> Spectrum:
     collapse to machine width (at most a couple of ulps of the root), far
     inside the 1e-12 relative-width contract.
 
+    The mismatch is evaluated without numpy warnings: a term that
+    overflows to +-inf keeps the sign bisection reads, and a NaN reads as
+    right of the root.
+
     Raises
     ------
     SpectrumSolverError
         Naming the first branch whose root did not land strictly inside
-        it, as it can where the root lies within an ulp of a pole.
+        it, as it can where the root lies within an ulp of a pole; whose
+        bracket did not collapse in ``_HALVINGS`` steps, as at
+        (omega_bar, g, delta) = (1, 1e100, 1e100), where root 0 lies near
+        1e-50 and the midpoint left, 3.8e-37, has F = F' = 0; or whose
+        Newton residual is not a finite float.
     """
     r = np.arange(params.n_modes + 1, dtype=float)
-    lo = r * params.delta_omega
-    hi = (r + 1.0) * params.delta_omega
-    a, b = lo, hi
-    for _ in range(120):
-        mid = 0.5 * (a + b)
-        left_of_root = _mismatch_raw(params, mid) > 0.0
-        a = np.where(left_of_root, mid, a)
-        b = np.where(left_of_root, b, mid)
-        if np.all((b - a) <= 2.0 * np.spacing(b)):
-            break
+    with np.errstate(all="ignore"):
+        lo = r * params.delta_omega
+        hi = (r + 1.0) * params.delta_omega
+        a, b = lo, hi
+        for _ in range(_HALVINGS):
+            mid = 0.5 * (a + b)
+            left_of_root = _mismatch_raw(params, mid) > 0.0
+            a = np.where(left_of_root, mid, a)
+            b = np.where(left_of_root, b, mid)
+            collapsed = (b - a) <= 2.0 * np.spacing(b)
+            if np.all(collapsed):
+                break
+        omegas = 0.5 * (a + b)
 
-    omegas = 0.5 * (a + b)
-    interior = (omegas > lo) & (omegas < hi)
-    if not np.all(interior):
-        branch = int(np.flatnonzero(~interior)[0])
-        raise SpectrumSolverError(f"root escaped branch {branch}")
-    return Spectrum(omegas=omegas, residuals=newton_residuals(params, omegas))
+    residuals = newton_residuals(params, omegas)
+    for failed, why in (
+        (~((omegas > lo) & (omegas < hi)), "root escaped branch"),
+        (~collapsed, f"bracket not collapsed in {_HALVINGS} halvings at branch"),
+        (~np.isfinite(residuals), "Newton residual is not finite at branch"),
+    ):
+        if np.any(failed):
+            raise SpectrumSolverError(f"{why} {int(np.flatnonzero(failed)[0])}")
+    return Spectrum(omegas=omegas, residuals=residuals)
 
 
 def require_small_cavity_domain(params: SystemParams) -> None:

@@ -292,6 +292,23 @@ def test_entropy_flatness_refuses_an_empty_grid_before_any_work(
             )
 
 
+def test_entropy_flatness_refuses_a_phase_past_its_limit_before_the_build(
+    baseline_params, monkeypatch
+):
+    """Omega t past 2^52 rad is refused as soon as the roots are solved:
+    no mode matrix is built and no reduced matrix diagonalized first."""
+
+    def no_build(*args):
+        raise AssertionError("the phases are checked before the build")
+
+    monkeypatch.setattr(bipartite, "build_matrix", no_build)
+    monkeypatch.setattr(bipartite, "amplitude_row", no_build)
+    with pytest.raises(ApproximationDomainError, match=r"2\^52 rad"):
+        dc.entropy_time_independence_check(
+            baseline_params, dc.EntangledStateConfig(xi=0.3), [0.0, 1e300]
+        )
+
+
 def test_entropy_symmetry_in_xi():
     for xi in (0.05, 0.2, 0.41):
         assert dc.analytic_entropy(xi) == pytest.approx(

@@ -698,6 +698,24 @@ def test_xi_endpoints_rejected(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv, scalar",
+    [
+        (["evolve", "--omega-bar", "1e155"], "omega_bar^2 must be"),
+        (["spectrum", "--delta", "1e-320"], "delta_omega must be"),
+    ],
+)
+def test_parameters_whose_derived_scalars_overflow_exit_3_with_one_line(
+    tmp_path, capsys, argv, scalar
+):
+    # not an OverflowError traceback (exit 1), nor numpy warnings and a
+    # solver refusal: make_params names the scalar
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and scalar in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_mode_precondition_exit_code(tmp_path):
     # strong coupling rejects the closed-form path
     rc = cli.main(

@@ -324,6 +324,37 @@ def test_a_time_entry_point_returns_or_raises_a_model_error(
             pass
 
 
+_MAGNITUDE = st.one_of(
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-320, 299),
+    ),
+    st.sampled_from([1e-320, 1e300, 1.0, 0.5, 0.1]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=2000)
+@given(
+    omega_bar=_MAGNITUDE, g=_MAGNITUDE, delta=_MAGNITUDE, n_modes=st.integers(1, 20)
+)
+def test_parameters_of_any_magnitude_give_an_atom_row_or_a_model_error(
+    omega_bar, g, delta, n_modes
+):
+    """make_params, solve_spectrum and atom_row at parameters from 1e-320
+    to 1e300 either give a finite positive atom row or raise a
+    ``CavityModelError``: no Python or numpy error, no numpy warning (an
+    error under this suite's filter), no inf or NaN in a result."""
+    try:
+        p = dc.make_params(omega_bar, g, delta=delta, n_modes=n_modes)
+        spec = dc.solve_spectrum(p)
+        row = dc.atom_row(p, spec)
+    except CavityModelError:
+        return
+    assert np.all(np.isfinite(spec.residuals))
+    assert np.all(np.isfinite(row)) and np.all(row > 0.0)
+
+
 def test_dimension_mismatch_raises(small_matrix, small_spectrum, baseline_spectrum):
     with pytest.raises(ConsistencyError):
         dc.amplitude_row(small_matrix, baseline_spectrum, 0, 1.0)

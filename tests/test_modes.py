@@ -44,6 +44,15 @@ def test_atom_element_decoupling_limit():
     assert dc.atom_element(p, p.omega_bar) == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("entry", [dc.assemble_raw_matrix, dc.atom_row])
+def test_an_atom_element_past_the_float_range_is_refused(entry):
+    # omega_bar = 1e99 puts Omega_0^4 past the float maximum: the radicand
+    # is inf, and an atom row of zeros would follow without a refusal
+    p = dc.make_params(1e99, 1e93, delta=1e-6, n_modes=5)
+    with pytest.raises(NumericDomainError, match="radicand"):
+        entry(p, dc.solve_spectrum(p))
+
+
 def test_field_element_sign_and_value(baseline_params, baseline_spectrum):
     value = dc.assemble_raw_matrix(baseline_params, baseline_spectrum)[1, 0]
     assert value > 0  # omega_1^2 > Omega_0^2 forces a positive entry
@@ -385,6 +394,32 @@ def test_build_matrix_takes_the_float64_finish_steps(n, g, delta, steps, order):
     p = dc.make_params(1.0, g, delta=delta, n_modes=n)
     m = dc.build_matrix(p, dc.solve_spectrum(p))
     assert (m.newton_schulz_steps, m.final_step_order) == (steps, order)
+
+
+@pytest.mark.parametrize("delta, n", [(1.0, 400), (1.0, 1000), (0.1, 300)])
+def test_a_split_whose_remainder_fails_falls_through_to_a_second_order_step(
+    delta, n, monkeypatch
+):
+    # at width 8 these builds finish deflated at the second step, (2, 3).
+    # A width-1 split leaves a remainder past the second-order bound: the
+    # split is dropped, a second-order step follows, and the third pass,
+    # starting afresh with no split, ends of order 2.
+    splits = []
+
+    def counted_split(e, block):
+        splits.append(e.shape)
+        return split(e, block)
+
+    split = dc.modes._split
+    monkeypatch.setattr(dc.modes, "_SPLIT_WIDTH", 1)
+    monkeypatch.setattr(dc.modes, "_split", counted_split)
+    p = dc.make_params(1.0, 0.5, delta=delta, n_modes=n)
+    spec = dc.solve_spectrum(p)
+    m = dc.build_matrix(p, spec)
+    assert len(splits) == 1
+    assert (m.newton_schulz_steps, m.final_step_order) == (3, 2)
+    assert np.abs(m.entries.T @ m.entries - np.eye(n + 1)).max() <= 1e-14
+    assert np.abs(m.entries - reference_loewdin(p, spec)[0]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("delta, order", [(0.05, 2), (1.0, 3)])

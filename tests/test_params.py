@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -39,6 +40,31 @@ def test_nonpositive_inputs_name_the_field(name):
 def test_nonpositive_delta_rejected():
     with pytest.raises(ValidationError, match="delta"):
         dc.make_params(1.0, 0.5, delta=0.0)
+
+
+@pytest.mark.parametrize(
+    "omega_bar, g, delta, scalar, got, inputs",
+    [
+        (1e155, 0.5, 0.1, "omega_bar^2", "inf", "omega_bar = 1e+155"),
+        (1e-170, 0.5, 0.1, "omega_bar^2", "0.0", "omega_bar = 1e-170"),
+        (1.0, 1e155, 0.1, "g^2", "inf", "g = 1e+155"),
+        (1.0, 1e-170, 0.1, "g^2", "0.0", "g = 1e-170"),
+        (1.0, 0.5, 1e-320, "delta_omega", "inf", "g = 0.5, delta = 1e-320"),
+        (1.0, 1e-150, 1e300, "delta_omega", "0.0", "g = 1e-150, delta = 1e+300"),
+        (1.0, 1e-150, 1e160, "radius", "inf", "g = 1e-150, delta = 1e+160"),
+        (1.0, 1e150, 1e-10, "eta^2", "inf", "g = 1e+150, delta = 1e-10"),
+        (1.0, 1e-150, 1e30, "eta^2", "0.0", "g = 1e-150, delta = 1e+30"),
+    ],
+)
+def test_derived_scalars_out_of_the_float_range_name_the_scalar(
+    omega_bar, g, delta, scalar, got, inputs
+):
+    # finite positive inputs whose square, spacing, radius or coupling
+    # overflows or underflows: a float ** 2 would raise OverflowError, and
+    # a zero spacing would divide by zero in the radius
+    message = f"{scalar} must be finite and strictly positive, got {got} from {inputs}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        dc.make_params(omega_bar, g, delta=delta)
 
 
 def test_the_cavity_is_delta_alone():

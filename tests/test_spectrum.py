@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dressedcavity as dc
-from dressedcavity.errors import ApproximationDomainError
+from dressedcavity.errors import ApproximationDomainError, SpectrumSolverError
 
 # independently solved roots at omega_bar=1, g=0.5, delta=0.1
 # (40-digit bisection of the eigenfrequency equation)
@@ -75,6 +75,24 @@ def test_small_cavities_solve_every_branch(delta, n_modes):
     assert dc.check_interlacing(p, spec)
     residual = dc.newton_residuals(p, spec.omegas).max()
     assert residual <= dc.modes._RESIDUAL_BOUND * p.delta_omega
+
+
+def test_a_root_not_resolved_in_floating_point_is_refused():
+    """At (omega_bar, g, delta) = (1, 1e100, 1e100) root 0 lies near 1e-50,
+    far below the 2^-120 of a branch width that 120 halvings reach; the
+    mismatch there is rounding noise, and F and F' at the midpoint both
+    read 0.  Its bracket never collapses, and the residual is NaN, without
+    a numpy warning (an error under this suite's filter).  A residual that
+    is not finite is refused too."""
+    p = dc.make_params(1.0, 1e100, delta=1e100, n_modes=5)
+    with pytest.raises(SpectrumSolverError, match="not collapsed .* at branch 0$"):
+        dc.solve_spectrum(p)
+    assert np.isnan(dc.newton_residuals(p, [3.76e-37]))
+    # R omega_bar^2/(2g) overflows at omega_bar = 1e95, g = 1e-65: F and F'
+    # are infinite, and their ratio NaN
+    p = dc.make_params(1e95, 1e-65, delta=2e-3, n_modes=1)
+    with pytest.raises(SpectrumSolverError, match="residual is not finite at branch 0"):
+        dc.solve_spectrum(p)
 
 
 def test_interlacing_checker_spots_corruption(baseline_params, baseline_spectrum):
